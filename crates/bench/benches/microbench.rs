@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tlsfp_core::knn::KnnClassifier;
-use tlsfp_core::reference::ReferenceSet;
+use tlsfp_core::knn::{rank_search, Metric};
+use tlsfp_index::{FlatIndex, IvfIndex, IvfParams, PqIndex, PqParams, Rows, VectorIndex};
 use tlsfp_nn::embedding::{EmbedderConfig, SequenceEmbedder};
 use tlsfp_nn::lstm::Lstm;
 use tlsfp_nn::optim::Sgd;
@@ -99,46 +99,45 @@ fn bench_components(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(trainer.train_batch(&mut net, &pool, &pairs, &mut opt, 0)))
     });
 
-    // kNN query across reference-set sizes: the exact flat scan, then
-    // the IVF backend pruning candidates over the same data.
+    // kNN query (search + vote) across reference-set sizes: the exact
+    // flat scan, then the IVF backend pruning candidates over the same
+    // rows.
     let sized_reference = |size: usize| {
-        let mut reference = ReferenceSet::new(32, 100);
-        let mut r = StdRng::seed_from_u64(9);
         use rand::RngExt;
+        let mut r = StdRng::seed_from_u64(9);
+        let mut data = Vec::with_capacity(size * 32);
+        let mut labels = Vec::with_capacity(size);
         for i in 0..size {
             // Class-dependent mean keeps the IVF quantizer honest.
             let center = (i % 100) as f32 / 25.0;
-            let emb: Vec<f32> = (0..32)
-                .map(|_| center + r.random_range(-1.0..1.0))
-                .collect();
-            reference.add(i % 100, emb).unwrap();
+            data.extend((0..32).map(|_| center + r.random_range(-1.0..1.0)));
+            labels.push(i % 100);
         }
         let query: Vec<f32> = (0..32).map(|_| r.random_range(-1.0..3.0)).collect();
-        (reference, query)
+        (data, labels, query)
     };
 
     let mut group = c.benchmark_group("core/knn_query");
     for &size in &[100usize, 1_000, 10_000] {
-        let (reference, query) = sized_reference(size);
-        let knn = KnnClassifier::new(50);
+        let (data, labels, query) = sized_reference(size);
+        let index = FlatIndex::from_rows(Metric::Euclidean, Rows::new(32, &data), &labels);
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| std::hint::black_box(knn.classify(&query, &reference)))
+            b.iter(|| std::hint::black_box(rank_search(index.search(&query, 50))))
         });
     }
     group.finish();
 
     let mut group = c.benchmark_group("core/ivf_query");
     for &size in &[100usize, 1_000, 10_000] {
-        let (reference, query) = sized_reference(size);
-        let index = tlsfp_index::IvfIndex::build(
-            tlsfp_index::IvfParams::auto(),
-            tlsfp_core::knn::Metric::Euclidean,
-            reference.as_rows(),
-            reference.labels(),
+        let (data, labels, query) = sized_reference(size);
+        let index = IvfIndex::build(
+            IvfParams::auto(),
+            Metric::Euclidean,
+            Rows::new(32, &data),
+            &labels,
         );
-        let knn = KnnClassifier::new(50);
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| std::hint::black_box(knn.classify_indexed(&query, &index)))
+            b.iter(|| std::hint::black_box(rank_search(index.search(&query, 50))))
         });
     }
     group.finish();
@@ -149,23 +148,14 @@ fn bench_components(c: &mut Criterion) {
     // per-query cost.
     {
         use rand::RngExt;
-        use tlsfp_index::VectorIndex;
-        let (reference, _) = sized_reference(10_000);
+        let (data, labels, _) = sized_reference(10_000);
+        let rows = Rows::new(32, &data);
         let mut r = StdRng::seed_from_u64(11);
         let queries: Vec<Vec<f32>> = (0..64)
             .map(|_| (0..32).map(|_| r.random_range(-1.0..3.0)).collect())
             .collect();
-        let flat = tlsfp_index::FlatIndex::from_rows(
-            tlsfp_core::knn::Metric::Euclidean,
-            reference.as_rows(),
-            reference.labels(),
-        );
-        let pq = tlsfp_index::PqIndex::build(
-            tlsfp_index::pq::PqParams::auto(),
-            tlsfp_core::knn::Metric::Euclidean,
-            reference.as_rows(),
-            reference.labels(),
-        );
+        let flat = FlatIndex::from_rows(Metric::Euclidean, rows, &labels);
+        let pq = PqIndex::build(PqParams::auto(), Metric::Euclidean, rows, &labels);
         let backends: [(&str, &dyn VectorIndex); 2] = [("flat", &flat), ("pq", &pq)];
         for (name, index) in backends {
             let mut group = c.benchmark_group(&format!("index/batch_scan/{name}"));

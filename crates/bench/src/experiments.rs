@@ -742,7 +742,7 @@ pub struct OpenWorldProfileResult {
     pub n_monitored: usize,
     /// Unmonitored class count.
     pub n_unmonitored: usize,
-    /// Calibrated rejection threshold.
+    /// Calibrated rejection threshold (the global rule's shared radius).
     pub threshold: f32,
     /// True-positive rate at the calibrated threshold.
     pub tpr: f64,
@@ -756,7 +756,8 @@ pub struct OpenWorldProfileResult {
     pub accepted_top1: f64,
     /// Area under the ROC curve.
     pub auc: f64,
-    /// The full ROC sweep.
+    /// The full ROC sweep; each point's threshold is an offset from the
+    /// calibrated radius.
     pub roc: Vec<RocPoint>,
 }
 
@@ -788,15 +789,15 @@ pub fn run_open_world_profile(
 
     let adversary = AdaptiveFingerprinter::provision(&train, &params.pipeline, params.seed)
         .expect("provisioning succeeds");
-    let threshold = adversary
+    let rule = adversary
         .calibrate_rejection_threshold(&calib, params.calibration_percentile)
         .expect("non-empty calibration set");
-    let report = adversary.evaluate_open_world(&eval, &unmonitored, threshold);
+    let report = adversary.evaluate_open_world(&eval, &unmonitored, &rule);
     OpenWorldProfileResult {
         profile: name.to_string(),
         n_monitored: monitored.n_classes(),
         n_unmonitored: unmonitored.n_classes(),
-        threshold,
+        threshold: rule.fallback,
         tpr: report.counts.tpr(),
         fpr: report.counts.fpr(),
         precision: report.counts.precision(),
@@ -1947,11 +1948,11 @@ pub struct FigBatchScanResult {
 }
 
 /// Measures one backend at one store size: a single-shard store (so
-/// the batch front door routes straight into the backend's blocked
-/// kernel) served through the per-query loop and through
-/// `search_batch_concurrent` in `batch_size` chunks at auto workers
-/// and at one worker. Every batched pass is checked bit-identical to
-/// the per-query loop.
+/// the batch front door's one task per query block runs the backend's
+/// blocked kernel over the whole store) served through the per-query
+/// loop and through `search_batch_concurrent` in `batch_size` chunks at
+/// auto workers and at one worker. Every batched pass is checked
+/// bit-identical to the per-query loop.
 pub fn run_batchscan_backend(
     backend: &str,
     config: &tlsfp_index::IndexConfig,
@@ -2296,10 +2297,10 @@ pub fn run_early_profile(
                 if top == Some(label) {
                     correct[i] += 1;
                 }
-                if radii.normalized(d.scored.score, top) <= 0.0 {
+                if radii.accepts(d.scored.score, top, 0.0) {
                     accepted_mon[i] += 1;
                 }
-            } else if radii.normalized(d.scored.score, top) <= 0.0 {
+            } else if radii.accepts(d.scored.score, top, 0.0) {
                 accepted_open[i] += 1;
             }
             if f >= 1.0 {

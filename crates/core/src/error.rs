@@ -10,6 +10,8 @@ pub enum CoreError {
     Nn(tlsfp_nn::NnError),
     /// A dataset was unusable for the requested operation.
     BadDataset(String),
+    /// A configuration value was out of range (e.g. `k = 0`).
+    BadConfig(String),
     /// A class id was out of range.
     ClassOutOfRange {
         /// The offending class.
@@ -26,6 +28,7 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Nn(e) => write!(f, "model error: {e}"),
             CoreError::BadDataset(msg) => write!(f, "unusable dataset: {msg}"),
+            CoreError::BadConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CoreError::ClassOutOfRange { class, n_classes } => {
                 write!(f, "class {class} out of range ({n_classes} classes)")
             }

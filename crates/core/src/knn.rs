@@ -6,21 +6,17 @@
 //! count (ties broken by the closest member). That ranked list is what
 //! the top-N adversary metric consumes.
 //!
-//! The neighbor *search* itself lives in `tlsfp-index`: the
-//! [`ReferenceSet`]-taking methods here run the exact
-//! [`flat_search`] over the reference
-//! rows (bit-identical to the historical scan), while the `*_indexed`
-//! variants accept any [`VectorIndex`] backend — the pipeline routes
-//! every serving-path call through its sharded reference store
-//! (`tlsfp_index::sharded::ShardedStore`), which fans each query out
-//! across its per-shard indexes and merges deterministically.
+//! The neighbor *search* lives in `tlsfp-index`. Every query takes one
+//! path: the pipeline's sharded reference store
+//! (`tlsfp_index::sharded::ShardedStore`) fans it out across its
+//! per-shard indexes and merges the results into `(dist, id)` order,
+//! and [`rank_search`] turns that one [`SearchResult`] into the voted
+//! ranking plus the outlier score. The accept/reject decision on top is
+//! [`PerClassThresholds::accepts`](crate::open_world::PerClassThresholds::accepts).
 
 use serde::{Deserialize, Serialize};
 
-use tlsfp_index::flat::flat_search;
-use tlsfp_index::{SearchResult, VectorIndex};
-
-use crate::reference::ReferenceSet;
+use tlsfp_index::SearchResult;
 
 pub use tlsfp_index::Metric;
 
@@ -53,33 +49,16 @@ impl RankedPrediction {
 
 /// A ranked prediction paired with the query's outlier score — the
 /// distance to its nearest reference point — produced by a *single*
-/// scan of the reference set. This is the open-world primitive: the
+/// search of the reference store. This is the open-world primitive: the
 /// score decides accept/reject, the prediction answers "which page"
 /// for accepted queries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScoredPrediction {
-    /// The ranked candidate labels (as [`KnnClassifier::classify`]).
+    /// The ranked candidate labels.
     pub prediction: RankedPrediction,
     /// Distance to the nearest reference point (`f32::INFINITY` for an
     /// empty reference set). Squared under [`Metric::Euclidean`].
     pub score: f32,
-}
-
-impl ScoredPrediction {
-    /// Whether the query clears the open-world rejection threshold.
-    pub fn accepted(&self, threshold: f32) -> bool {
-        self.score <= threshold
-    }
-
-    /// The open-world outcome at `threshold`: the ranked prediction for
-    /// accepted queries, `None` for rejected outliers.
-    pub fn into_open_world(self, threshold: f32) -> Option<RankedPrediction> {
-        if self.score > threshold {
-            None
-        } else {
-            Some(self.prediction)
-        }
-    }
 }
 
 /// kNN classifier configuration.
@@ -93,13 +72,12 @@ pub struct KnnClassifier {
 }
 
 /// Turns a neighbor search outcome into the voted, ranked prediction —
-/// the single vote/rank path every classify variant shares. Exposed so
-/// callers holding a [`SearchResult`] (e.g. the `fig_index` experiment)
+/// the one vote/rank path every serving call shares. Exposed so
+/// callers holding a [`SearchResult`] (the experiments, the benchmark)
 /// can rank it without re-running the search.
 ///
 /// Votes are tallied in the order the backend reported its neighbors,
-/// then stably sorted by (votes desc, best distance asc) — for the
-/// flat backend this reproduces the historical classifier exactly.
+/// then stably sorted by (votes desc, best distance asc).
 pub fn rank_search(result: SearchResult) -> ScoredPrediction {
     // Vote count and best (smallest) distance per label.
     let mut votes: Vec<(usize, usize, f32)> = Vec::new(); // (label, votes, best_dist)
@@ -134,6 +112,10 @@ impl KnnClassifier {
     }
 
     /// A classifier with the given k and Euclidean distance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         KnnClassifier {
@@ -141,172 +123,51 @@ impl KnnClassifier {
             metric: Metric::Euclidean,
         }
     }
-
-    /// Classifies one query embedding against the reference set.
-    pub fn classify(&self, query: &[f32], reference: &ReferenceSet) -> RankedPrediction {
-        self.classify_with_score(query, reference).prediction
-    }
-
-    /// Classifies one query and reports its outlier score (nearest-
-    /// reference distance) from the same reference scan — the
-    /// single-pass path open-world evaluation uses, at half the cost of
-    /// calling [`KnnClassifier::outlier_score`] and
-    /// [`KnnClassifier::classify`] separately.
-    pub fn classify_with_score(&self, query: &[f32], reference: &ReferenceSet) -> ScoredPrediction {
-        rank_search(flat_search(
-            reference.as_rows(),
-            reference.labels(),
-            self.metric,
-            query,
-            self.k,
-        ))
-    }
-
-    /// Classifies one query against any index backend. With a flat
-    /// index over the reference rows this is bit-identical to
-    /// [`KnnClassifier::classify`]; with an IVF backend it trades a
-    /// bounded recall loss for an order-of-magnitude fewer distance
-    /// computations.
-    pub fn classify_indexed(&self, query: &[f32], index: &dyn VectorIndex) -> RankedPrediction {
-        self.classify_with_score_indexed(query, index).prediction
-    }
-
-    /// Index-backend variant of [`KnnClassifier::classify_with_score`].
-    ///
-    /// The index must have been built with this classifier's metric —
-    /// otherwise indexed and non-indexed scores silently disagree
-    /// (debug builds assert).
-    pub fn classify_with_score_indexed(
-        &self,
-        query: &[f32],
-        index: &dyn VectorIndex,
-    ) -> ScoredPrediction {
-        debug_assert_eq!(
-            index.metric(),
-            self.metric,
-            "index metric disagrees with classifier metric"
-        );
-        rank_search(index.search(query, self.k))
-    }
-
-    /// Classifies a batch of queries in parallel.
-    pub fn classify_all(
-        &self,
-        queries: &[Vec<f32>],
-        reference: &ReferenceSet,
-        threads: usize,
-    ) -> Vec<RankedPrediction> {
-        tlsfp_nn::parallel::map_elems(queries, threads, |q| self.classify(q, reference))
-    }
-
-    /// Batch variant of [`KnnClassifier::classify_with_score`].
-    pub fn classify_with_score_all(
-        &self,
-        queries: &[Vec<f32>],
-        reference: &ReferenceSet,
-        threads: usize,
-    ) -> Vec<ScoredPrediction> {
-        tlsfp_nn::parallel::map_elems(queries, threads, |q| self.classify_with_score(q, reference))
-    }
-
-    /// Thread-sharded batch classification through an index backend.
-    /// As [`KnnClassifier::classify_with_score_indexed`], the index's
-    /// metric must match the classifier's.
-    pub fn classify_with_score_all_indexed(
-        &self,
-        queries: &[Vec<f32>],
-        index: &dyn VectorIndex,
-        threads: usize,
-    ) -> Vec<ScoredPrediction> {
-        debug_assert_eq!(
-            index.metric(),
-            self.metric,
-            "index metric disagrees with classifier metric"
-        );
-        index
-            .search_batch(queries, self.k, threads)
-            .into_iter()
-            .map(rank_search)
-            .collect()
-    }
-
-    /// Distance from `query` to its nearest reference point — the
-    /// outlier score for open-world detection (§VI-C: an unknown page
-    /// load "may be an obvious outlier, i.e. no proximity to any of the
-    /// known labels in embeddings space"). Returns `f32::INFINITY` for
-    /// an empty reference set.
-    ///
-    /// Note: under [`Metric::Euclidean`] this is a *squared* distance,
-    /// consistent with the internal ranking.
-    pub fn outlier_score(&self, query: &[f32], reference: &ReferenceSet) -> f32 {
-        reference
-            .as_rows()
-            .iter()
-            .map(|e| self.metric.eval(query, e))
-            .fold(f32::INFINITY, f32::min)
-    }
-
-    /// Open-world classification: rejects queries whose nearest
-    /// reference point is farther than `threshold` (returns `None` —
-    /// "not one of the monitored pages"). One reference scan: the
-    /// score and the ranking come from the same
-    /// [`KnnClassifier::classify_with_score`] pass.
-    pub fn classify_open_world(
-        &self,
-        query: &[f32],
-        reference: &ReferenceSet,
-        threshold: f32,
-    ) -> Option<RankedPrediction> {
-        self.classify_with_score(query, reference)
-            .into_open_world(threshold)
-    }
-
-    /// Index-backend variant of [`KnnClassifier::classify_open_world`].
-    pub fn classify_open_world_indexed(
-        &self,
-        query: &[f32],
-        index: &dyn VectorIndex,
-        threshold: f32,
-    ) -> Option<RankedPrediction> {
-        self.classify_with_score_indexed(query, index)
-            .into_open_world(threshold)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use tlsfp_index::{FlatIndex, IndexConfig, IvfIndex, IvfParams};
+    use tlsfp_index::{FlatIndex, IvfIndex, IvfParams, Rows, VectorIndex};
 
     use super::*;
 
-    fn reference() -> ReferenceSet {
-        let mut r = ReferenceSet::new(1, 3);
-        // Class 0 clustered at 0, class 1 at 10, class 2 at 20.
+    /// Rows for `(label, embedding)` pairs, all of one dimension.
+    fn flat(metric: Metric, points: &[(usize, Vec<f32>)]) -> FlatIndex {
+        let dim = points.first().map_or(1, |(_, e)| e.len());
+        let data: Vec<f32> = points.iter().flat_map(|(_, e)| e.iter().copied()).collect();
+        let labels: Vec<usize> = points.iter().map(|&(l, _)| l).collect();
+        FlatIndex::from_rows(metric, Rows::new(dim, &data), &labels)
+    }
+
+    /// Class 0 clustered at 0, class 1 at 10, class 2 at 20.
+    fn reference() -> FlatIndex {
+        let mut points = Vec::new();
         for i in 0..4 {
-            r.add(0, vec![0.0 + i as f32 * 0.1]).unwrap();
-            r.add(1, vec![10.0 + i as f32 * 0.1]).unwrap();
-            r.add(2, vec![20.0 + i as f32 * 0.1]).unwrap();
+            points.push((0, vec![0.0 + i as f32 * 0.1]));
+            points.push((1, vec![10.0 + i as f32 * 0.1]));
+            points.push((2, vec![20.0 + i as f32 * 0.1]));
         }
-        r
+        flat(Metric::Euclidean, &points)
+    }
+
+    fn classify(index: &dyn VectorIndex, query: &[f32], k: usize) -> RankedPrediction {
+        rank_search(index.search(query, k)).prediction
     }
 
     #[test]
     fn nearest_cluster_wins() {
         let r = reference();
-        let knn = KnnClassifier::new(4);
-        let pred = knn.classify(&[0.05], &r);
+        let pred = classify(&r, &[0.05], 4);
         assert_eq!(pred.top(), Some(0));
         assert_eq!(pred.votes[0], 4);
-        let pred = knn.classify(&[19.0], &r);
-        assert_eq!(pred.top(), Some(2));
+        assert_eq!(classify(&r, &[19.0], 4).top(), Some(2));
     }
 
     #[test]
     fn ranked_order_reflects_proximity() {
         let r = reference();
-        let knn = KnnClassifier::new(8);
         // Query between class 0 and 1, nearer 1.
-        let pred = knn.classify(&[7.0], &r);
+        let pred = classify(&r, &[7.0], 8);
         assert_eq!(pred.ranked[0], 1);
         assert_eq!(pred.rank_of(1), Some(1));
         assert_eq!(pred.rank_of(0), Some(2));
@@ -316,9 +177,7 @@ mod tests {
 
     #[test]
     fn k_larger_than_reference_is_capped() {
-        let r = reference();
-        let knn = KnnClassifier::new(10_000);
-        let pred = knn.classify(&[0.0], &r);
+        let pred = classify(&reference(), &[0.0], 10_000);
         // All 12 points voted; class 0 has the closest members.
         assert_eq!(pred.votes.iter().sum::<usize>(), 12);
         assert_eq!(pred.top(), Some(0));
@@ -326,217 +185,73 @@ mod tests {
 
     #[test]
     fn tie_break_prefers_closer_class() {
-        let mut r = ReferenceSet::new(1, 2);
-        r.add(0, vec![1.0]).unwrap();
-        r.add(1, vec![2.0]).unwrap();
-        let knn = KnnClassifier::new(2);
+        let r = flat(Metric::Euclidean, &[(0, vec![1.0]), (1, vec![2.0])]);
         // Both classes get 1 vote; class 0 is closer to 1.2.
-        let pred = knn.classify(&[1.2], &r);
-        assert_eq!(pred.ranked, vec![0, 1]);
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let r = reference();
-        let knn = KnnClassifier::new(4);
-        let queries = vec![vec![0.0], vec![10.0], vec![20.0], vec![15.1]];
-        let batch = knn.classify_all(&queries, &r, 3);
-        for (q, p) in queries.iter().zip(&batch) {
-            assert_eq!(p, &knn.classify(q, &r));
-        }
+        assert_eq!(classify(&r, &[1.2], 2).ranked, vec![0, 1]);
     }
 
     #[test]
     fn cosine_metric_works() {
-        let mut r = ReferenceSet::new(2, 2);
-        r.add(0, vec![1.0, 0.0]).unwrap();
-        r.add(1, vec![0.0, 1.0]).unwrap();
-        let knn = KnnClassifier {
-            k: 1,
-            metric: Metric::Cosine,
-        };
-        assert_eq!(knn.classify(&[0.9, 0.1], &r).top(), Some(0));
-        assert_eq!(knn.classify(&[0.1, 0.9], &r).top(), Some(1));
+        let r = flat(Metric::Cosine, &[(0, vec![1.0, 0.0]), (1, vec![0.0, 1.0])]);
+        assert_eq!(classify(&r, &[0.9, 0.1], 1).top(), Some(0));
+        assert_eq!(classify(&r, &[0.1, 0.9], 1).top(), Some(1));
     }
 
     #[test]
-    fn outlier_scores_separate_known_from_unknown() {
+    fn score_is_the_nearest_reference_distance() {
         let r = reference();
-        let knn = KnnClassifier::new(4);
-        // A query on top of class 0 scores near zero.
-        let near = knn.outlier_score(&[0.05], &r);
-        // A far-away query scores big.
-        let far = knn.outlier_score(&[1000.0], &r);
-        assert!(near < 1.0);
-        assert!(far > 100.0);
-        // Open-world: the near query classifies, the far one is rejected.
-        assert!(knn.classify_open_world(&[0.05], &r, 5.0).is_some());
-        assert!(knn.classify_open_world(&[1000.0], &r, 5.0).is_none());
+        let near = rank_search(r.search(&[0.05], 4));
+        let far = rank_search(r.search(&[1000.0], 4));
+        assert!(near.score < 1.0);
+        assert!(far.score > 100.0);
+        let naive = r
+            .rows()
+            .iter()
+            .map(|e| Metric::Euclidean.eval(&[1000.0], e))
+            .fold(f32::INFINITY, f32::min);
+        assert_eq!(far.score.to_bits(), naive.to_bits());
     }
 
     #[test]
-    fn outlier_score_on_empty_reference_is_infinite() {
-        let r = ReferenceSet::new(1, 2);
-        let knn = KnnClassifier::new(3);
-        assert_eq!(knn.outlier_score(&[0.0], &r), f32::INFINITY);
-        assert!(knn.classify_open_world(&[0.0], &r, 1e30).is_none());
+    fn empty_reference_yields_empty_prediction_and_infinite_score() {
+        let sp = rank_search(FlatIndex::new(1, Metric::Euclidean).search(&[0.0], 3));
+        assert!(sp.prediction.ranked.is_empty());
+        assert_eq!(sp.prediction.top(), None);
+        assert_eq!(sp.score, f32::INFINITY);
     }
 
-    /// The pre-single-pass implementation of `classify_open_world`:
-    /// one reference scan for the outlier score, a second for the
-    /// ranking. Kept here as the regression oracle.
-    fn classify_open_world_two_pass(
-        knn: &KnnClassifier,
-        query: &[f32],
-        reference: &ReferenceSet,
-        threshold: f32,
-    ) -> Option<RankedPrediction> {
-        if knn.outlier_score(query, reference) > threshold {
-            None
-        } else {
-            Some(knn.classify(query, reference))
-        }
-    }
-
-    /// A larger seeded fixture: clustered classes plus far-out queries,
-    /// exercising accepts, rejects and the threshold edge.
-    fn seeded_scenario(seed: u64) -> (ReferenceSet, Vec<Vec<f32>>) {
+    #[test]
+    fn ivf_agrees_with_flat_at_full_probe() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(33);
         let dim = 8;
-        let classes = 6;
-        let mut reference = ReferenceSet::new(dim, classes);
-        for i in 0..120 {
-            let class = i % classes;
-            let center = class as f32 * 3.0;
-            let e: Vec<f32> = (0..dim)
-                .map(|_| center + rng.random_range(-0.5f32..0.5))
-                .collect();
-            reference.add(class, e).unwrap();
-        }
-        // Queries: near-cluster, between-cluster and far outliers.
-        let queries: Vec<Vec<f32>> = (0..80)
-            .map(|_| {
-                let center = rng.random_range(-5.0f32..25.0);
-                (0..dim)
+        let points: Vec<(usize, Vec<f32>)> = (0..120)
+            .map(|i| {
+                let center = (i % 6) as f32 * 3.0;
+                let e = (0..dim)
                     .map(|_| center + rng.random_range(-0.5f32..0.5))
-                    .collect()
+                    .collect();
+                (i % 6, e)
             })
             .collect();
-        (reference, queries)
-    }
-
-    #[test]
-    fn single_pass_matches_two_pass_open_world() {
-        let (reference, queries) = seeded_scenario(1234);
-        let knn = KnnClassifier::new(9);
-        // Sweep thresholds from reject-everything to accept-everything.
-        for threshold in [0.0, 0.5, 2.0, 10.0, 100.0, f32::INFINITY] {
-            for q in &queries {
-                let old = classify_open_world_two_pass(&knn, q, &reference, threshold);
-                let new = knn.classify_open_world(q, &reference, threshold);
-                assert_eq!(
-                    old, new,
-                    "accept/reject or ranking diverged at threshold {threshold}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn classify_with_score_agrees_with_separate_calls() {
-        let (reference, queries) = seeded_scenario(99);
-        for knn in [
-            KnnClassifier::new(5),
-            KnnClassifier {
-                k: 7,
-                metric: Metric::Cosine,
-            },
-        ] {
-            for q in &queries {
-                let sp = knn.classify_with_score(q, &reference);
-                assert_eq!(sp.score, knn.outlier_score(q, &reference));
-                assert_eq!(sp.prediction, knn.classify(q, &reference));
-            }
-        }
-    }
-
-    #[test]
-    fn scored_batch_matches_single() {
-        let (reference, queries) = seeded_scenario(7);
-        let knn = KnnClassifier::new(4);
-        let batch = knn.classify_with_score_all(&queries, &reference, 3);
-        for (q, sp) in queries.iter().zip(&batch) {
-            assert_eq!(sp, &knn.classify_with_score(q, &reference));
-        }
-    }
-
-    #[test]
-    fn flat_indexed_path_is_bit_identical_to_reference_scan() {
-        let (reference, queries) = seeded_scenario(21);
-        let flat = FlatIndex::from_rows(Metric::Euclidean, reference.as_rows(), reference.labels());
-        let knn = KnnClassifier::new(9);
-        for q in &queries {
-            assert_eq!(
-                knn.classify_with_score_indexed(q, &flat),
-                knn.classify_with_score(q, &reference)
-            );
-        }
-        let batch = knn.classify_with_score_all_indexed(&queries, &flat, 4);
-        assert_eq!(batch, knn.classify_with_score_all(&queries, &reference, 1));
-    }
-
-    #[test]
-    fn ivf_indexed_path_agrees_at_full_probe() {
-        let (reference, queries) = seeded_scenario(33);
+        let exact = flat(Metric::Euclidean, &points);
         let mut ivf = IvfIndex::build(
             IvfParams::new(6, 0),
             Metric::Euclidean,
-            reference.as_rows(),
-            reference.labels(),
+            exact.rows(),
+            exact.labels(),
         );
         ivf.set_n_probe(ivf.n_lists());
-        let knn = KnnClassifier::new(9);
-        for q in &queries {
-            let exact = knn.classify_with_score(q, &reference);
-            let approx = knn.classify_with_score_indexed(q, &ivf);
-            assert_eq!(exact.score, approx.score);
-            assert_eq!(exact.prediction, approx.prediction);
+        for _ in 0..40 {
+            let center = rng.random_range(-5.0f32..25.0);
+            let q: Vec<f32> = (0..dim)
+                .map(|_| center + rng.random_range(-0.5f32..0.5))
+                .collect();
+            let want = rank_search(exact.search(&q, 9));
+            let got = rank_search(ivf.search(&q, 9));
+            assert_eq!(want.score, got.score);
+            assert_eq!(want.prediction, got.prediction);
         }
-    }
-
-    #[test]
-    fn index_config_builds_working_backends() {
-        let (reference, queries) = seeded_scenario(55);
-        let knn = KnnClassifier::new(5);
-        for config in [IndexConfig::Flat, IndexConfig::ivf_default()] {
-            let index = config.build(knn.metric, reference.as_rows(), reference.labels());
-            let sp = knn.classify_with_score_indexed(&queries[0], index.as_ref());
-            assert!(!sp.prediction.ranked.is_empty());
-            assert!(sp.score.is_finite());
-        }
-    }
-
-    #[test]
-    fn scored_prediction_threshold_semantics() {
-        let r = reference();
-        let knn = KnnClassifier::new(4);
-        let sp = knn.classify_with_score(&[0.05], &r);
-        assert!(sp.accepted(5.0));
-        assert!(!sp.accepted(sp.score - 1e-3));
-        // Exactly-at-threshold queries are accepted (score <= t).
-        assert!(sp.accepted(sp.score));
-        assert_eq!(sp.clone().into_open_world(5.0), Some(sp.prediction.clone()));
-        assert_eq!(sp.into_open_world(0.0), None);
-    }
-
-    #[test]
-    fn empty_reference_yields_empty_prediction() {
-        let r = ReferenceSet::new(1, 2);
-        let knn = KnnClassifier::new(3);
-        let pred = knn.classify(&[0.0], &r);
-        assert!(pred.ranked.is_empty());
-        assert_eq!(pred.top(), None);
     }
 }

@@ -10,20 +10,19 @@
 //! - [`pipeline::AdaptiveFingerprinter`] — provision / fingerprint /
 //!   adapt (Figure 2). Serves from a class-sharded reference store
 //!   (`tlsfp_index::sharded::ShardedStore`) sized by
-//!   [`PipelineConfig::shards`](pipeline::PipelineConfig): one shard
-//!   (the default) is bit-identical to the classic flat path; many
-//!   shards bound provisioning memory and mutation cost for the
-//!   13k-class regime.
-//! - [`reference::ReferenceSet`] — the classic single-store labeled
-//!   embedding set (the regression oracle and standalone-kNN store).
-//! - [`knn::KnnClassifier`] — top-N ranked classification (k = 250),
-//!   served through any `tlsfp-index` backend — per shard, an exact
-//!   flat scan by default ([`PipelineConfig::index`](pipeline::PipelineConfig))
-//!   or an IVF index that prunes candidates by an order of magnitude.
+//!   [`PipelineConfig::shards`](pipeline::PipelineConfig): one serving
+//!   path at every shard count — store search, ordered-commit merge,
+//!   [`knn::rank_search`], one accept rule. Many shards bound
+//!   provisioning memory and mutation cost for the 13k-class regime.
+//! - [`knn`] — top-N ranked classification (k = 250) from the store's
+//!   merged neighbors. Each shard serves an exact flat scan by default
+//!   ([`PipelineConfig::index`](pipeline::PipelineConfig)), or an IVF
+//!   or PQ index that prunes or compresses candidates.
 //! - [`metrics::EvalReport`] — top-N accuracy, per-class guess CDFs,
 //!   the Table II smallest-n search.
-//! - [`open_world`] — §VI-C open-world detection metrics: confusion
-//!   counts, ROC sweeps, threshold calibration.
+//! - [`open_world`] — §VI-C open-world detection: the one accept rule
+//!   ([`PerClassThresholds`]; a global threshold is one shared radius),
+//!   confusion counts, ROC sweeps, calibration.
 //! - [`streaming`] — per-session incremental serving: fold TLS records
 //!   in as they arrive, decide at any prefix, early-stop on per-class
 //!   calibrated radii; full-trace decisions are bit-identical to the
@@ -58,7 +57,6 @@ pub mod knn;
 pub mod metrics;
 pub mod open_world;
 pub mod pipeline;
-pub mod reference;
 pub mod streaming;
 
 pub use error::{CoreError, Result};
@@ -66,6 +64,5 @@ pub use knn::{KnnClassifier, RankedPrediction, ScoredPrediction};
 pub use metrics::EvalReport;
 pub use open_world::{ConfusionCounts, OpenWorldReport, PerClassThresholds, RocPoint};
 pub use pipeline::{AdaptiveFingerprinter, PipelineConfig};
-pub use reference::ReferenceSet;
 pub use streaming::{EarlyDecision, EarlyStopPolicy, PrefixDecision, StreamingSession};
 pub use tlsfp_index::{IndexConfig, IvfParams, VectorIndex};

@@ -4,18 +4,22 @@
 //! In the open-world setting the adversary monitors a set of pages and
 //! must *reject* every other load instead of force-matching it to a
 //! monitored class. Rejection is score-based: a query whose nearest
-//! reference point is farther than a threshold is an outlier. This
-//! module turns the resulting score tables into the metrics the
-//! open-world literature reports — TPR/FPR/precision/recall at one
-//! threshold, full ROC sweeps over thresholds, and percentile
-//! calibration from a held-out monitored set (the k-fingerprinting
-//! evaluation protocol).
+//! reference point lies outside its predicted class's calibrated radius
+//! is an outlier. [`PerClassThresholds::accepts`] is the one accept rule
+//! every decision path uses — a global threshold is the same rule with
+//! one shared radius ([`PerClassThresholds::global`]). This module also
+//! turns score tables into the metrics the open-world literature
+//! reports — TPR/FPR/precision/recall at one threshold, full ROC sweeps
+//! over thresholds, and percentile calibration from a held-out
+//! monitored set (the k-fingerprinting evaluation protocol).
 //!
 //! Conventions: *positive* means "predicted monitored" (accepted, i.e.
 //! `score <= threshold`); monitored samples are the positive ground
 //! truth. Ratios with an empty denominator are reported as 0.
 
 use serde::{Deserialize, Serialize};
+
+use crate::knn::ScoredPrediction;
 
 /// Accept/reject confusion counts at one threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -36,11 +40,17 @@ impl ConfusionCounts {
     pub fn at_threshold(monitored: &[f32], unmonitored: &[f32], threshold: f32) -> Self {
         let tp = monitored.iter().filter(|&&s| s <= threshold).count();
         let fp = unmonitored.iter().filter(|&&s| s <= threshold).count();
+        ConfusionCounts::tally(tp, monitored.len(), fp, unmonitored.len())
+    }
+
+    /// Counts from `tp` of `n_monitored` and `fp` of `n_unmonitored`
+    /// samples accepted.
+    fn tally(tp: usize, n_monitored: usize, fp: usize, n_unmonitored: usize) -> Self {
         ConfusionCounts {
             true_positives: tp,
             false_positives: fp,
-            true_negatives: unmonitored.len() - fp,
-            false_negatives: monitored.len() - tp,
+            true_negatives: n_unmonitored - fp,
+            false_negatives: n_monitored - tp,
         }
     }
 
@@ -101,7 +111,9 @@ fn ratio(num: usize, denom: usize) -> f64 {
 /// One point of an ROC sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RocPoint {
-    /// The rejection threshold this point was evaluated at.
+    /// The rejection threshold this point was evaluated at (for
+    /// [`OpenWorldReport::for_rule`], an offset from the radius, rounded
+    /// to `f32`).
     pub threshold: f32,
     /// True-positive rate at this threshold.
     pub tpr: f64,
@@ -116,23 +128,40 @@ pub struct RocPoint {
 /// TPR/FPR/precision at each. Points are ordered by ascending
 /// threshold, so TPR and FPR are non-decreasing along the curve.
 pub fn roc_sweep(monitored: &[f32], unmonitored: &[f32]) -> Vec<RocPoint> {
-    let mut thresholds: Vec<f32> = monitored
+    let widen = |scores: &[f32]| -> Vec<f64> { scores.iter().map(|&s| f64::from(s)).collect() };
+    sweep(&widen(monitored), &widen(unmonitored))
+}
+
+/// [`roc_sweep`] over `f64` values. Rule offsets (`score − radius`) are
+/// taken in `f64`, where the difference of two `f32`s is exact at any
+/// realistic magnitude: in `f32`, scores far below the radius round to
+/// one offset and merge ROC points, which moves the AUC.
+fn sweep(monitored: &[f64], unmonitored: &[f64]) -> Vec<RocPoint> {
+    let mut thresholds: Vec<f64> = monitored
         .iter()
         .chain(unmonitored)
         .copied()
         .filter(|s| s.is_finite())
         .collect();
-    thresholds.sort_by(f32::total_cmp);
+    thresholds.sort_by(f64::total_cmp);
     thresholds.dedup();
     // A reject-everything anchor so curves always start at (0, 0).
-    let below = thresholds.first().map_or(0.0, |&t| strictly_below(t));
+    let below = thresholds
+        .first()
+        .map_or(0.0, |&t| f64::from(strictly_below(t as f32)));
     thresholds.insert(0, below);
+    let accepted = |scores: &[f64], t: f64| scores.iter().filter(|&&s| s <= t).count();
     thresholds
         .into_iter()
         .map(|t| {
-            let c = ConfusionCounts::at_threshold(monitored, unmonitored, t);
+            let c = ConfusionCounts::tally(
+                accepted(monitored, t),
+                monitored.len(),
+                accepted(unmonitored, t),
+                unmonitored.len(),
+            );
             RocPoint {
-                threshold: t,
+                threshold: t as f32,
                 tpr: c.tpr(),
                 fpr: c.fpr(),
                 precision: c.precision(),
@@ -203,10 +232,11 @@ pub fn calibrate_threshold(monitored_scores: &[f32], percentile: f64) -> Option<
     Some(scores[idx])
 }
 
-/// Per-class calibrated rejection radii: each monitored class gets its
-/// own acceptance radius, calibrated from that class's held-out outlier
-/// scores, with a global-percentile fallback for classes the
-/// calibration set under-covers.
+/// The open-world accept rule: an acceptance radius per monitored
+/// class, calibrated from that class's held-out outlier scores, with a
+/// global-percentile fallback for classes the calibration set
+/// under-covers. A global threshold is the same rule with one shared
+/// radius ([`PerClassThresholds::global`]).
 ///
 /// Classes whose reference embeddings are tight can then reject
 /// impostors that a single global threshold (sized for the loosest
@@ -224,6 +254,22 @@ pub struct PerClassThresholds {
 }
 
 impl PerClassThresholds {
+    /// The global-threshold rule: every class, and every query, shares
+    /// one acceptance radius.
+    ///
+    /// ```
+    /// use tlsfp_core::open_world::PerClassThresholds;
+    /// let rule = PerClassThresholds::global(2.0);
+    /// assert!(rule.accepts(2.0, Some(7), 0.0));
+    /// assert!(!rule.accepts(2.5, Some(0), 0.0));
+    /// ```
+    pub fn global(radius: f32) -> Self {
+        PerClassThresholds {
+            radii: Vec::new(),
+            fallback: radius,
+        }
+    }
+
     /// The acceptance radius for a query predicted as `class`
     /// (`None` = empty prediction → fallback).
     pub fn radius_for(&self, class: Option<usize>) -> f32 {
@@ -239,6 +285,21 @@ impl PerClassThresholds {
     /// evaluates the per-class detector with the global machinery.
     pub fn normalized(&self, score: f32, predicted: Option<usize>) -> f32 {
         score - self.radius_for(predicted)
+    }
+
+    /// The one accept rule: a query is accepted when some class was
+    /// predicted, its score is finite, and the score clears the
+    /// predicted class's radius with `margin` to spare
+    /// (`score <= radius - margin`). Open-world fingerprinting and
+    /// evaluation use `margin = 0`; the streaming early-stop policy
+    /// passes its own.
+    ///
+    /// Non-finite scores never accept (NaN/∞ comparisons are false —
+    /// the same convention calibration uses to filter poisoned scores),
+    /// and neither does an empty prediction.
+    pub fn accepts(&self, score: f32, predicted: Option<usize>, margin: f32) -> bool {
+        // `normalized <= -margin` is false for NaN radii too.
+        predicted.is_some() && score.is_finite() && self.normalized(score, predicted) <= -margin
     }
 }
 
@@ -286,7 +347,9 @@ pub fn calibrate_per_class(
 /// The full open-world evaluation at one calibrated threshold.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpenWorldReport {
-    /// The rejection threshold evaluated.
+    /// The rejection threshold evaluated: the raw score threshold for
+    /// [`OpenWorldReport::evaluate`], the rule's shared (fallback)
+    /// radius for [`OpenWorldReport::for_rule`].
     pub threshold: f32,
     /// Accept/reject confusion counts at that threshold.
     pub counts: ConfusionCounts,
@@ -294,7 +357,9 @@ pub struct OpenWorldReport {
     /// closed-world question, asked only where the detector said
     /// "monitored"). 0 when nothing was accepted.
     pub accepted_top1: f64,
-    /// The ROC sweep over all observed scores.
+    /// The ROC sweep over all observed scores (for
+    /// [`OpenWorldReport::for_rule`], over normalized scores, so each
+    /// point's threshold is an offset from the calibrated radius).
     pub roc: Vec<RocPoint>,
 }
 
@@ -329,6 +394,45 @@ impl OpenWorldReport {
             counts,
             accepted_top1: ratio(correct, counts.true_positives),
             roc: roc_sweep(monitored_scores, unmonitored_scores),
+        }
+    }
+
+    /// Evaluates an accept rule on scored predictions: `monitored`
+    /// (with their true `labels`) and `unmonitored` loads, each
+    /// accepted or rejected by [`PerClassThresholds::accepts`] at zero
+    /// margin. The ROC sweeps each query's offset from its radius
+    /// (`score − radius`, as [`PerClassThresholds::normalized`] but in
+    /// `f64`), so a global rule's curve is the raw-score curve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `monitored` and `labels` lengths differ.
+    pub fn for_rule(
+        rule: &PerClassThresholds,
+        monitored: &[ScoredPrediction],
+        labels: &[usize],
+        unmonitored: &[ScoredPrediction],
+    ) -> Self {
+        assert_eq!(monitored.len(), labels.len(), "prediction/label count");
+        let accepted = |sp: &ScoredPrediction| rule.accepts(sp.score, sp.prediction.top(), 0.0);
+        let tp = monitored.iter().filter(|sp| accepted(sp)).count();
+        let fp = unmonitored.iter().filter(|sp| accepted(sp)).count();
+        let correct = monitored
+            .iter()
+            .zip(labels)
+            .filter(|&(sp, &label)| accepted(sp) && sp.prediction.top() == Some(label))
+            .count();
+        let offsets = |scored: &[ScoredPrediction]| -> Vec<f64> {
+            scored
+                .iter()
+                .map(|sp| f64::from(sp.score) - f64::from(rule.radius_for(sp.prediction.top())))
+                .collect()
+        };
+        OpenWorldReport {
+            threshold: rule.fallback,
+            counts: ConfusionCounts::tally(tp, monitored.len(), fp, unmonitored.len()),
+            accepted_top1: ratio(correct, tp),
+            roc: sweep(&offsets(monitored), &offsets(unmonitored)),
         }
     }
 }
@@ -556,7 +660,7 @@ mod tests {
         assert_eq!(t.radii[0], global);
         for (&s, &l) in scores.iter().zip(&labels) {
             let accept_global = s <= global;
-            let accept_per_class = t.normalized(s, Some(l)) <= 0.0;
+            let accept_per_class = t.accepts(s, Some(l), 0.0);
             assert_eq!(accept_global, accept_per_class);
         }
     }

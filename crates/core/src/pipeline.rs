@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use tlsfp_index::sharded::ShardedStore;
-use tlsfp_index::{IndexConfig, VectorIndex};
+use tlsfp_index::IndexConfig;
 use tlsfp_nn::embedding::{EmbedScratch, EmbedderConfig, SequenceEmbedder};
 use tlsfp_nn::optim::Sgd;
 use tlsfp_nn::pairs::{random_pairs, semi_hard_pairs, ClassIndex};
@@ -59,14 +59,6 @@ pub struct PipelineConfig {
     /// shard-major fan-out and ordered-commit merge guarantee it (see
     /// the `tlsfp_index::sharded` module docs).
     pub query_workers: usize,
-    /// Queries per blocked-scan block on the batch query paths (`0` =
-    /// auto: the batch split evenly across the query workers, capped at
-    /// 64). Each block shares one pass over every shard's rows — the
-    /// cache-blocked scan kernels — so larger blocks amortize memory
-    /// bandwidth, smaller blocks expose more parallelism. Results are
-    /// **bit-identical at every value**; the knob only moves the
-    /// amortization/parallelism trade-off.
-    pub query_block: usize,
     /// Nearest-neighbor index backend each shard serves from. The
     /// default [`IndexConfig::Flat`] keeps every decision bit-identical
     /// to an exhaustive reference scan; [`IndexConfig::ivf_default`]
@@ -78,23 +70,16 @@ pub struct PipelineConfig {
     pub index: IndexConfig,
     /// Shard count for the reference store: classes are partitioned
     /// across this many shards, each with its own contiguous storage
-    /// and serving index. `1` (the default) reproduces the unsharded
-    /// serving path **bit-identically**; `0` resolves to
+    /// and serving index (`1` is the default); `0` resolves to
     /// `⌈√n_classes⌉` at provisioning time — the 13k-class layout,
     /// where provisioning peak memory and per-mutation work are
-    /// bounded by one shard instead of the corpus. With exact (flat)
-    /// per-shard backends, decisions are identical for every value
-    /// (up to exact distance ties between different-class duplicate
-    /// embeddings at the k-th neighbor boundary — see the
+    /// bounded by one shard instead of the corpus. Every value serves
+    /// through the same fan-out and merge, and with exact (flat)
+    /// per-shard backends decisions are identical for every value (up
+    /// to an exact distance tie at the k-th neighbor, which the merge
+    /// breaks by a global id that depends on the shard count — see the
     /// `tlsfp_index::sharded` module docs).
     pub shards: usize,
-    /// Whether runtime telemetry recording is on. Applied process-wide
-    /// at provisioning time (`tlsfp_telemetry::set_enabled` — the
-    /// registry is one per process, like the thread pool). Telemetry
-    /// is a pure observer either way: decisions, score bits and
-    /// serialized snapshots are bit-identical with it on or off; the
-    /// knob only controls whether counters/gauges/histograms record.
-    pub telemetry: bool,
 }
 
 impl PipelineConfig {
@@ -113,10 +98,8 @@ impl PipelineConfig {
             k: 250,
             threads: 0,
             query_workers: 0,
-            query_block: 0,
             index: IndexConfig::Flat,
             shards: 1,
-            telemetry: true,
         }
     }
 
@@ -142,10 +125,8 @@ impl PipelineConfig {
             k: 15,
             threads: 0,
             query_workers: 0,
-            query_block: 0,
             index: IndexConfig::Flat,
             shards: 1,
-            telemetry: true,
         }
     }
 
@@ -179,10 +160,6 @@ pub struct AdaptiveFingerprinter {
     /// Worker-pool size for the concurrent shard fan-out on the query
     /// paths (`0` = auto). Never changes a decision.
     query_workers: usize,
-    /// Queries per blocked-scan block on the batch query paths
-    /// (`0` = auto). Mirrored into the store on every rebuild. Never
-    /// changes a decision.
-    query_block: usize,
     log: TrainingLog,
     /// The per-shard index backend (mirrors `PipelineConfig::index`).
     index_config: IndexConfig,
@@ -199,9 +176,13 @@ impl AdaptiveFingerprinter {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadDataset`] for empty/degenerate training
-    /// data and configuration errors from the substrate.
+    /// Returns [`CoreError::BadConfig`] for `k = 0` (checked before any
+    /// training), [`CoreError::BadDataset`] for empty/degenerate
+    /// training data, and configuration errors from the substrate.
     pub fn provision(train: &Dataset, config: &PipelineConfig, seed: u64) -> Result<Self> {
+        if config.k == 0 {
+            return Err(CoreError::BadConfig("k must be positive".into()));
+        }
         if train.is_empty() {
             return Err(CoreError::BadDataset("empty training set".into()));
         }
@@ -212,7 +193,6 @@ impl AdaptiveFingerprinter {
                 config.embedder.input_size
             )));
         }
-        tlsfp_telemetry::set_enabled(config.telemetry);
         let mut embedder = SequenceEmbedder::new(config.embedder.clone(), seed)?;
         let log = train_embedder(&mut embedder, train, config, seed)?;
 
@@ -230,7 +210,6 @@ impl AdaptiveFingerprinter {
             knn,
             threads: config.threads,
             query_workers: config.query_workers,
-            query_block: config.query_block,
             log,
             index_config: config.index,
             shards: config.shards,
@@ -251,7 +230,6 @@ impl AdaptiveFingerprinter {
             knn,
             threads,
             query_workers: 0,
-            query_block: 0,
             log: TrainingLog {
                 epoch_losses: Vec::new(),
                 train_seconds: 0.0,
@@ -268,12 +246,6 @@ impl AdaptiveFingerprinter {
 
     /// The current sharded reference store.
     pub fn reference(&self) -> &ShardedStore {
-        &self.store
-    }
-
-    /// The serving store as an index: the classify paths route every
-    /// query through it (fan-out across shards, deterministic merge).
-    pub fn index(&self) -> &dyn VectorIndex {
         &self.store
     }
 
@@ -343,22 +315,6 @@ impl AdaptiveFingerprinter {
         self.query_workers
     }
 
-    /// Sets the query-block knob for the blocked batch scans
-    /// (`0` = auto: the batch split evenly across the query workers,
-    /// capped at `tlsfp_index::MAX_QUERY_BLOCK`). Applied to the
-    /// current store and remembered for every future rebuild. Results
-    /// are **bit-identical** at every value; only wall-clock time
-    /// changes.
-    pub fn set_query_block(&mut self, query_block: usize) {
-        self.query_block = query_block;
-        self.store.set_query_block(query_block);
-    }
-
-    /// The configured query-block size (`0` = auto).
-    pub fn query_block(&self) -> usize {
-        self.query_block
-    }
-
     /// Replaces the whole reference store with embeddings of `data`
     /// (initialization, step 2 of Figure 2). The label space becomes
     /// `data.n_classes()`, the shard count re-resolves against it, and
@@ -386,7 +342,6 @@ impl AdaptiveFingerprinter {
             data.n_classes(),
             self.shards,
         );
-        store.set_query_block(self.query_block);
         if store.n_shards() == 1 {
             // Single shard: embed the corpus in one pass and load it in
             // dataset order — exactly the historical unsharded path,
@@ -497,33 +452,25 @@ impl AdaptiveFingerprinter {
     /// ([`AdaptiveFingerprinter::set_query_workers`]) and merge
     /// deterministically.
     pub fn fingerprint_with_score(&self, trace: &SeqInput) -> ScoredPrediction {
-        let emb = self.embedder.embed(trace);
-        debug_assert_eq!(
-            self.store.metric(),
-            self.knn.metric,
-            "store metric disagrees with classifier metric"
-        );
-        rank_search(
-            self.store
-                .search_concurrent(&emb, self.knn.k, self.query_workers_or_default()),
-        )
+        self.decide(&self.embedder.embed(trace))
     }
 
-    /// Open-world fingerprinting (§VI-C): returns `None` when the trace
-    /// is an outlier — farther from every reference point than
-    /// `threshold` — signalling a page outside the monitored set.
-    /// Calibrate the threshold with
-    /// [`AdaptiveFingerprinter::calibrate_rejection_threshold`].
+    /// Open-world fingerprinting (§VI-C): returns `None` when `rule`
+    /// rejects the trace — its outlier score lies outside its predicted
+    /// class's radius — signalling a page outside the monitored set.
+    /// Calibrate the rule with
+    /// [`AdaptiveFingerprinter::calibrate_rejection_radii`], or with
+    /// [`AdaptiveFingerprinter::calibrate_rejection_threshold`] for one
+    /// shared radius.
     pub fn fingerprint_open_world(
         &self,
         trace: &SeqInput,
-        threshold: f32,
+        rule: &PerClassThresholds,
     ) -> Option<RankedPrediction> {
-        let result = self
-            .fingerprint_with_score(trace)
-            .into_open_world(threshold);
-        record_decisions(result.is_some() as u64, result.is_none() as u64);
-        result
+        let sp = self.fingerprint_with_score(trace);
+        let accepted = rule.accepts(sp.score, sp.prediction.top(), 0.0);
+        record_decisions(accepted as u64, !accepted as u64);
+        accepted.then_some(sp.prediction)
     }
 
     /// Embeds and score-classifies a whole dataset in parallel (the
@@ -541,11 +488,7 @@ impl AdaptiveFingerprinter {
         // fan-out + rank), so the fanout/shard_scan/merge spans nest
         // inside it; embedding is accounted separately.
         let _decide = tlsfp_telemetry::stage_timer!("decide");
-        self.knn.classify_with_score_all_indexed(
-            &embeddings,
-            &self.store,
-            self.query_workers_or_default(),
-        )
+        self.decide_all(&embeddings)
     }
 
     /// Nearest-reference outlier scores for a whole dataset.
@@ -558,49 +501,43 @@ impl AdaptiveFingerprinter {
 
     /// Full open-world evaluation: `monitored` is a labeled test set of
     /// monitored pages, `unmonitored` holds loads of pages outside the
-    /// monitored set (its labels are ignored). Produces accept/reject
-    /// counts, the accepted-top-1 accuracy and an ROC sweep at
-    /// `threshold`.
+    /// monitored set (its labels are ignored). Every load is accepted
+    /// or rejected by `rule` ([`PerClassThresholds::accepts`]), giving
+    /// the accept/reject counts and the accepted-top-1 accuracy; the
+    /// ROC sweeps normalized scores, so its thresholds are offsets from
+    /// the calibrated radii ([`OpenWorldReport::for_rule`]).
     pub fn evaluate_open_world(
         &self,
         monitored: &Dataset,
         unmonitored: &Dataset,
-        threshold: f32,
+        rule: &PerClassThresholds,
     ) -> OpenWorldReport {
-        let scored = self.fingerprint_with_score_all(monitored);
-        let monitored_scores: Vec<f32> = scored.iter().map(|sp| sp.score).collect();
-        let top1_correct: Vec<bool> = scored
-            .iter()
-            .zip(monitored.labels())
-            .map(|(sp, &label)| sp.prediction.top() == Some(label))
-            .collect();
-        let unmonitored_scores = self.outlier_scores(unmonitored);
-        if tlsfp_telemetry::enabled() {
-            let accepts = monitored_scores
-                .iter()
-                .chain(&unmonitored_scores)
-                .filter(|&&s| s <= threshold)
-                .count() as u64;
-            let total = (monitored_scores.len() + unmonitored_scores.len()) as u64;
-            record_decisions(accepts, total - accepts);
-        }
-        OpenWorldReport::evaluate(
-            &monitored_scores,
-            &top1_correct,
-            &unmonitored_scores,
-            threshold,
-        )
+        let report = OpenWorldReport::for_rule(
+            rule,
+            &self.fingerprint_with_score_all(monitored),
+            monitored.labels(),
+            &self.fingerprint_with_score_all(unmonitored),
+        );
+        let accepts = (report.counts.true_positives + report.counts.false_positives) as u64;
+        record_decisions(accepts, report.counts.total() as u64 - accepts);
+        report
     }
 
-    /// Calibrates an open-world rejection threshold from held-out
+    /// Calibrates a global open-world rejection threshold from held-out
     /// *known* traces: the `percentile` (0–100) of their nearest-
-    /// reference distances. A 95th-percentile threshold accepts ~95% of
-    /// monitored-page loads while rejecting far-away unknowns.
+    /// reference distances, as the accept rule with that one shared
+    /// radius ([`PerClassThresholds::global`]). A 95th-percentile
+    /// threshold accepts ~95% of monitored-page loads while rejecting
+    /// far-away unknowns.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::BadDataset`] if `known` is empty.
-    pub fn calibrate_rejection_threshold(&self, known: &Dataset, percentile: f64) -> Result<f32> {
+    pub fn calibrate_rejection_threshold(
+        &self,
+        known: &Dataset,
+        percentile: f64,
+    ) -> Result<PerClassThresholds> {
         if known.is_empty() {
             return Err(CoreError::BadDataset(
                 "cannot calibrate on an empty dataset".into(),
@@ -610,6 +547,7 @@ impl AdaptiveFingerprinter {
         record_calibration_event();
         let scores = self.outlier_scores(known);
         open_world::calibrate_threshold(&scores, percentile)
+            .map(PerClassThresholds::global)
             .ok_or_else(|| CoreError::BadDataset("cannot calibrate on an empty dataset".into()))
     }
 
@@ -648,61 +586,6 @@ impl AdaptiveFingerprinter {
         .ok_or_else(|| CoreError::BadDataset("cannot calibrate on an empty dataset".into()))
     }
 
-    /// Open-world fingerprinting with per-class radii: the query is
-    /// accepted when its outlier score is within its *predicted*
-    /// class's calibrated radius.
-    pub fn fingerprint_open_world_per_class(
-        &self,
-        trace: &SeqInput,
-        radii: &PerClassThresholds,
-    ) -> Option<RankedPrediction> {
-        let sp = self.fingerprint_with_score(trace);
-        let accepted = radii.normalized(sp.score, sp.prediction.top()) <= 0.0;
-        record_decisions(accepted as u64, !accepted as u64);
-        if accepted {
-            Some(sp.prediction)
-        } else {
-            None
-        }
-    }
-
-    /// Open-world evaluation with per-class radii. Scores are
-    /// normalized by each query's predicted-class radius
-    /// ([`PerClassThresholds::normalized`]), so the report's counts and
-    /// ROC are computed by the same machinery as
-    /// [`AdaptiveFingerprinter::evaluate_open_world`], at threshold 0.
-    pub fn evaluate_open_world_per_class(
-        &self,
-        monitored: &Dataset,
-        unmonitored: &Dataset,
-        radii: &PerClassThresholds,
-    ) -> OpenWorldReport {
-        let normalize = |scored: &[ScoredPrediction]| -> Vec<f32> {
-            scored
-                .iter()
-                .map(|sp| radii.normalized(sp.score, sp.prediction.top()))
-                .collect()
-        };
-        let scored = self.fingerprint_with_score_all(monitored);
-        let monitored_scores = normalize(&scored);
-        let top1_correct: Vec<bool> = scored
-            .iter()
-            .zip(monitored.labels())
-            .map(|(sp, &label)| sp.prediction.top() == Some(label))
-            .collect();
-        let unmonitored_scores = normalize(&self.fingerprint_with_score_all(unmonitored));
-        if tlsfp_telemetry::enabled() {
-            let accepts = monitored_scores
-                .iter()
-                .chain(&unmonitored_scores)
-                .filter(|&&s| s <= 0.0)
-                .count() as u64;
-            let total = (monitored_scores.len() + unmonitored_scores.len()) as u64;
-            record_decisions(accepts, total - accepts);
-        }
-        OpenWorldReport::evaluate(&monitored_scores, &top1_correct, &unmonitored_scores, 0.0)
-    }
-
     /// Embeds a batch of traces through the fused batched engine
     /// (`SequenceEmbedder::embed_batch`), sharded across the worker
     /// pool. Every serving/provisioning path embeds through this (or
@@ -715,18 +598,39 @@ impl AdaptiveFingerprinter {
     /// Evaluates against a labeled test set, producing the full report
     /// (top-N curves, per-class guesses, CDFs).
     pub fn evaluate(&self, test: &Dataset) -> EvalReport {
-        let embeddings = self.embed_all(test.seqs());
         let predictions: Vec<RankedPrediction> = self
-            .knn
-            .classify_with_score_all_indexed(
-                &embeddings,
-                &self.store,
-                self.query_workers_or_default(),
-            )
+            .decide_all(&self.embed_all(test.seqs()))
             .into_iter()
             .map(|sp| sp.prediction)
             .collect();
         EvalReport::from_predictions(&predictions, test.labels(), self.store.n_classes())
+    }
+
+    /// Decides one embedding through the serving path every query
+    /// takes: the concurrent shard fan-out, the ordered-commit merge,
+    /// then the vote.
+    pub(crate) fn decide(&self, embedding: &[f32]) -> ScoredPrediction {
+        debug_assert_eq!(
+            self.store.metric(),
+            self.knn.metric,
+            "store metric disagrees with classifier metric"
+        );
+        rank_search(self.store.search_concurrent(
+            embedding,
+            self.knn.k,
+            self.query_workers_or_default(),
+        ))
+    }
+
+    /// Batch form of [`AdaptiveFingerprinter::decide`]: the
+    /// (shard × query-block) fan-out, merged per query, then the vote.
+    /// Bit-identical to deciding each embedding alone.
+    pub(crate) fn decide_all(&self, embeddings: &[Vec<f32>]) -> Vec<ScoredPrediction> {
+        self.store
+            .search_batch_concurrent(embeddings, self.knn.k, self.query_workers_or_default())
+            .into_iter()
+            .map(rank_search)
+            .collect()
     }
 
     /// Serializes the whole deployment (model + reference set) to JSON.
@@ -953,12 +857,13 @@ mod tests {
         let (train, test) = monitored.split_per_class(0.3, 0);
         let fp = AdaptiveFingerprinter::provision(&train, &tiny_config(), 7).unwrap();
         let threshold = fp.calibrate_rejection_threshold(&test, 95.0).unwrap();
-        assert!(threshold.is_finite() && threshold > 0.0);
+        assert!(threshold.fallback.is_finite() && threshold.fallback > 0.0);
+        assert!(threshold.radii.is_empty(), "one shared radius");
 
         let accepted_known = test
             .seqs()
             .iter()
-            .filter(|t| fp.fingerprint_open_world(t, threshold).is_some())
+            .filter(|t| fp.fingerprint_open_world(t, &threshold).is_some())
             .count();
         assert!(
             accepted_known as f64 >= 0.7 * test.len() as f64,
@@ -973,7 +878,7 @@ mod tests {
         let accepted_foreign = foreign
             .seqs()
             .iter()
-            .filter(|t| fp.fingerprint_open_world(t, threshold).is_some())
+            .filter(|t| fp.fingerprint_open_world(t, &threshold).is_some())
             .count();
         assert!(
             accepted_foreign < foreign.len(),
@@ -990,14 +895,14 @@ mod tests {
         let (_, foreign) =
             Dataset::generate(&CorpusSpec::github_like(5, 6), &TensorConfig::wiki(), 99).unwrap();
 
-        let report = fp.evaluate_open_world(&test, &foreign, threshold);
+        let report = fp.evaluate_open_world(&test, &foreign, &threshold);
         // Counts cover every sample exactly once.
         assert_eq!(report.counts.total(), test.len() + foreign.len());
         // The report's accept counts agree with the per-trace API.
         let accepted_known = test
             .seqs()
             .iter()
-            .filter(|t| fp.fingerprint_open_world(t, threshold).is_some())
+            .filter(|t| fp.fingerprint_open_world(t, &threshold).is_some())
             .count();
         assert_eq!(report.counts.true_positives, accepted_known);
         // Calibrated at the 95th percentile, most known traces pass.
@@ -1024,6 +929,13 @@ mod tests {
         assert!(matches!(
             AdaptiveFingerprinter::provision(&ds, &cfg, 0),
             Err(CoreError::BadDataset(_))
+        ));
+        // k = 0 fails closed before any training.
+        let mut cfg = tiny_config();
+        cfg.k = 0;
+        assert!(matches!(
+            AdaptiveFingerprinter::provision(&ds, &cfg, 0),
+            Err(CoreError::BadConfig(_))
         ));
     }
 

@@ -50,7 +50,7 @@ use tlsfp_nn::embedding::{EmbedStream, SequenceEmbedder, StreamWeights};
 use tlsfp_trace::sequence::IpSequences;
 use tlsfp_trace::tensorize::TensorConfig;
 
-use crate::knn::{rank_search, RankedPrediction, ScoredPrediction};
+use crate::knn::{RankedPrediction, ScoredPrediction};
 use crate::open_world::PerClassThresholds;
 use crate::pipeline::AdaptiveFingerprinter;
 
@@ -64,9 +64,9 @@ use crate::pipeline::AdaptiveFingerprinter;
 /// tightens the acceptance ball so a decision made mid-trace has slack
 /// against the score drifting as more records arrive.
 ///
-/// Non-finite scores never accept (NaN/∞ comparisons are false — the
-/// same convention the calibration path uses to filter poisoned
-/// scores), and neither does an empty prediction.
+/// The decision itself is the open-world accept rule,
+/// [`PerClassThresholds::accepts`], at this policy's margin: non-finite
+/// scores and empty predictions never accept.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EarlyStopPolicy {
     /// Per-class acceptance radii (the open-world calibration).
@@ -93,11 +93,7 @@ impl EarlyStopPolicy {
     /// Whether a prefix decision with this score and predicted class
     /// clears the policy at `prefix_steps` tensor steps.
     pub fn accepts(&self, score: f32, predicted: Option<usize>, prefix_steps: usize) -> bool {
-        if prefix_steps < self.min_steps || !score.is_finite() || predicted.is_none() {
-            return false;
-        }
-        // `normalized <= -margin` is false for NaN radii too.
-        self.radii.normalized(score, predicted) <= -self.margin
+        prefix_steps >= self.min_steps && self.radii.accepts(score, predicted, self.margin)
     }
 }
 
@@ -389,12 +385,7 @@ impl AdaptiveFingerprinter {
         session: &mut StreamingSession,
         policy: Option<&EarlyStopPolicy>,
     ) -> PrefixDecision {
-        let emb = session.prefix_embedding(self.embedder());
-        let workers = match self.query_workers() {
-            0 => tlsfp_nn::parallel::default_threads(),
-            w => w,
-        };
-        let scored = rank_search(self.reference().search_concurrent(&emb, self.k(), workers));
+        let scored = self.decide(&session.prefix_embedding(self.embedder()));
         let confidence = confidence_of(&scored.prediction);
         let prefix_steps = session.prefix_steps();
         if session.latched.is_none() {
@@ -445,17 +436,7 @@ impl AdaptiveFingerprinter {
             .iter()
             .map(|s| s.tensor.tensorize(&IpSequences::extract(&s.capture)))
             .collect();
-        let embeddings = self.embed_all(&seqs);
-        let workers = match self.query_workers() {
-            0 => tlsfp_nn::parallel::default_threads(),
-            w => w,
-        };
-        let scored: Vec<ScoredPrediction> = self
-            .reference()
-            .search_batch_concurrent(&embeddings, self.k(), workers)
-            .into_iter()
-            .map(rank_search)
-            .collect();
+        let scored = self.decide_all(&self.embed_all(&seqs));
         for session in &sessions {
             session.record_finish();
         }

@@ -1,22 +1,20 @@
 //! The exact backend: a brute-force scan over contiguous row-major
-//! storage.
+//! storage, and the test oracle every other backend and the serving
+//! path are measured against.
 //!
-//! This is the historical serving path extracted from the classifier,
-//! with two changes that matter at scale and none that change results:
-//!
-//! - vectors live in one flat `Vec<f32>` (row-major) instead of
-//!   `Vec<Vec<f32>>`, so a scan walks memory linearly with no pointer
-//!   chasing, and
-//! - the scan processes candidate rows in cache-sized chunks
+//! - Vectors live in one flat `Vec<f32>` (row-major), so a scan walks
+//!   memory linearly with no pointer chasing.
+//! - The scan processes candidate rows in cache-sized chunks
 //!   ([`SCAN_CHUNK_ROWS`] at a time), keeping the query vector hot
 //!   while each block streams through.
+//! - Per-distance accumulation uses the `tlsfp-nn` kernels, and the
+//!   k-selection heap is keyed on distance alone, so [`flat_search`]
+//!   reproduces a naive insertion-order scan bit for bit — scores,
+//!   selected neighbors and the heap's output order. The
+//!   `tests/index_serving.rs` oracle holds this line.
 //!
-//! Per-distance accumulation order is *unchanged* (the `tlsfp-nn`
-//! kernels), and the k-selection heap replays the historical algorithm
-//! comparison-for-comparison, so every score, every selected neighbor
-//! set, and even the heap's output order are bit-identical to the
-//! pre-index scan — the regression tests in the facade crate hold this
-//! line.
+//! Results come back in heap order; the sharded store's merge sorts
+//! them by `(dist, id)` like every other backend's.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -116,8 +114,8 @@ impl FlatIndex {
 /// `k` in a bounded max-heap keyed on distance alone.
 ///
 /// Returned neighbors are in heap iteration order (arbitrary but
-/// deterministic), matching the historical classifier bit-for-bit; the
-/// `nearest` field is the true minimum distance over all rows.
+/// deterministic), matching a naive insertion-order scan bit for bit;
+/// the `nearest` field is the true minimum distance over all rows.
 pub fn flat_search(
     rows: Rows<'_>,
     labels: &[usize],

@@ -22,50 +22,46 @@
 //!
 //! - **flat** ([`flat_search_block`]): rows are fed to each query's
 //!   dist-only heap in ascending row order — the identical comparison
-//!   sequence — so even the heap's *iteration order* (the historical
-//!   result order) is preserved.
+//!   sequence — so even the heap's *iteration order* is preserved.
 //! - **IVF/PQ** (overrides in their own modules): candidates go through
 //!   a `SelectEntry` heap whose `(dist, id)` total order makes
 //!   the selected set insertion-order-independent, and results are
 //!   emitted via `into_sorted_vec` — canonical whatever order lists or
 //!   tiles were visited in.
 //!
-//! The proptests in `tests/batch_scan_props.rs` pin blocked results to
-//! the per-query loop bit-for-bit (distances, ids, labels, neighbor
-//! order, eval counts) across backends, block sizes and thread counts.
+//! Every batch path scans at [`auto_query_block`]; the block size never
+//! changes a result. The proptests in `tests/batch_scan_props.rs` pin
+//! blocked results to the per-query loop bit-for-bit (distances, ids,
+//! labels, neighbor order, eval counts) across backends, block sizes
+//! and thread counts. Backends keep their own neighbor order; the
+//! sharded store's merge is what puts every query's neighbors in
+//! `(dist, id)` order.
 
 use std::collections::BinaryHeap;
 
 use crate::flat::{FlatHeapEntry, SCAN_CHUNK_ROWS};
 use crate::{Metric, Neighbor, Rows, SearchResult};
 
-/// Upper bound on the auto-resolved query block: 64 queries × 32 dims
-/// × 4 bytes = 8 KiB of query vectors, which fits in L1 alongside one
-/// row tile.
+/// Upper bound on the query block: 64 queries × 32 dims × 4 bytes =
+/// 8 KiB of query vectors, which fits in L1 alongside one row tile.
 pub const MAX_QUERY_BLOCK: usize = 64;
 
-/// Resolves the `query_block` knob for a batch of `batch` queries
-/// served by `workers` threads. `0` means auto: split the batch evenly
-/// across the worker pool (so blocking never costs thread utilization)
-/// and cap each block at [`MAX_QUERY_BLOCK`]. Explicit values are used
-/// as-is, floored at 1.
+/// The block size every batch path scans with, for a batch of `batch`
+/// queries served by `workers` threads: the batch split evenly across
+/// the worker pool (so blocking never costs thread utilization), capped
+/// at [`MAX_QUERY_BLOCK`] and floored at 1.
 ///
-/// Results are bit-identical at *every* block size — the knob only
+/// Results are bit-identical at *every* block size — blocking only
 /// moves the amortization/parallelism trade-off.
 ///
 /// ```
-/// use tlsfp_index::kernels::resolve_query_block;
-/// assert_eq!(resolve_query_block(0, 64, 4), 16);  // auto: 64/4
-/// assert_eq!(resolve_query_block(0, 256, 1), 64); // auto caps at 64
-/// assert_eq!(resolve_query_block(0, 3, 8), 1);    // never zero
-/// assert_eq!(resolve_query_block(7, 256, 4), 7);  // explicit wins
+/// use tlsfp_index::kernels::auto_query_block;
+/// assert_eq!(auto_query_block(64, 4), 16);  // 64/4
+/// assert_eq!(auto_query_block(256, 1), 64); // capped at 64
+/// assert_eq!(auto_query_block(3, 8), 1);    // never zero
 /// ```
-pub fn resolve_query_block(requested: usize, batch: usize, workers: usize) -> usize {
-    if requested == 0 {
-        batch.div_ceil(workers.max(1)).clamp(1, MAX_QUERY_BLOCK)
-    } else {
-        requested.max(1)
-    }
+pub fn auto_query_block(batch: usize, workers: usize) -> usize {
+    batch.div_ceil(workers.max(1)).clamp(1, MAX_QUERY_BLOCK)
 }
 
 /// Records one blocked-scan block into the per-backend block-size
@@ -164,21 +160,15 @@ mod tests {
     use crate::flat::flat_search;
 
     #[test]
-    fn resolve_query_block_auto_splits_across_workers() {
-        assert_eq!(resolve_query_block(0, 1, 1), 1);
-        assert_eq!(resolve_query_block(0, 64, 1), 64);
-        assert_eq!(resolve_query_block(0, 64, 4), 16);
-        assert_eq!(resolve_query_block(0, 65, 4), 17);
-        assert_eq!(resolve_query_block(0, 1_000, 2), MAX_QUERY_BLOCK);
-        assert_eq!(resolve_query_block(0, 0, 4), 1);
-        assert_eq!(resolve_query_block(0, 8, 0), 8, "0 workers clamps to 1");
-        assert_eq!(resolve_query_block(3, 64, 4), 3);
-        assert_eq!(
-            resolve_query_block(128, 64, 4),
-            128,
-            "explicit may exceed batch"
-        );
-        assert_eq!(resolve_query_block(0, 64, 100), 1);
+    fn auto_query_block_splits_across_workers() {
+        assert_eq!(auto_query_block(1, 1), 1);
+        assert_eq!(auto_query_block(64, 1), 64);
+        assert_eq!(auto_query_block(64, 4), 16);
+        assert_eq!(auto_query_block(65, 4), 17);
+        assert_eq!(auto_query_block(1_000, 2), MAX_QUERY_BLOCK);
+        assert_eq!(auto_query_block(0, 4), 1);
+        assert_eq!(auto_query_block(8, 0), 8, "0 workers clamps to 1");
+        assert_eq!(auto_query_block(64, 100), 1);
     }
 
     #[test]

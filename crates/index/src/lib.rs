@@ -24,8 +24,8 @@
 //! - [`ShardedStore`] ([`sharded`]) — partitions *classes* across `S`
 //!   shards, each owning contiguous rows and its own backend;
 //!   provisioning peaks at one shard's embeddings, mutations touch one
-//!   shard, and queries fan out and merge deterministically. `S = 1`
-//!   reproduces the unsharded backends bit-for-bit.
+//!   shard, and every query — at every `S`, one included — fans out
+//!   and merges into `(dist, id)` order deterministically.
 //!
 //! Every backend is **mutable** — [`VectorIndex::add`],
 //! [`VectorIndex::remove_label`] and [`VectorIndex::swap_label`]
@@ -82,7 +82,7 @@ pub mod sharded;
 
 pub use flat::FlatIndex;
 pub use ivf::{BalanceStats, IvfIndex, IvfParams};
-pub use kernels::{resolve_query_block, MAX_QUERY_BLOCK};
+pub use kernels::{auto_query_block, MAX_QUERY_BLOCK};
 pub use pq::{PqIndex, PqParams};
 pub use sharded::{resolve_shards, shard_of, ShardedStore, StoreBalance};
 
@@ -142,11 +142,10 @@ pub struct Neighbor {
 /// The outcome of one index query.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchResult {
-    /// Up to `k` nearest neighbors. The flat backend reports them in
-    /// its internal heap order (preserved for bit-compatibility with
-    /// the historical scan); the IVF backend reports them sorted by
-    /// `(dist, id)` ascending. Consumers that need a canonical order
-    /// should sort.
+    /// Up to `k` nearest neighbors, in the backend's own order: the
+    /// flat backend reports its heap order, IVF and PQ sort by
+    /// `(dist, id)` ascending. [`ShardedStore`]'s merge sorts every
+    /// backend's neighbors by `(dist, id)`.
     pub neighbors: Vec<Neighbor>,
     /// Distance to the nearest *scanned* vector (`f32::INFINITY` when
     /// nothing was scanned) — the open-world outlier score. Exact for
@@ -226,8 +225,8 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
 
     /// Serves one contiguous *block* of queries in a single scan pass —
     /// the cache-blocked kernel unit (see [`kernels`]). Runs on the
-    /// calling thread; [`VectorIndex::search_batch_blocked`] shards
-    /// blocks across workers. Each query's result must be
+    /// calling thread; [`VectorIndex::search_batch`] shards blocks
+    /// across workers. Each query's result must be
     /// **bit-identical** to [`VectorIndex::search`] — the default is
     /// the per-query loop itself; backends override it with a blocked
     /// scan that preserves per-(query, row) accumulation order.
@@ -236,21 +235,13 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
     }
 
     /// Query-blocked batch search: splits `queries` into contiguous
-    /// blocks of `query_block` (`0` = auto — the batch split evenly
-    /// across the worker pool, capped at
-    /// [`kernels::MAX_QUERY_BLOCK`]), fans the blocks across `threads`
-    /// workers (`0` = all cores), and serves each block through one
-    /// [`VectorIndex::search_block`] scan pass. Results are
-    /// bit-identical to the per-query loop at every block size and
+    /// blocks of [`kernels::auto_query_block`] queries, fans the blocks
+    /// across `threads` workers (`0` = all cores), and serves each block
+    /// through one [`VectorIndex::search_block`] scan pass. Each query's
+    /// result is bit-identical to [`VectorIndex::search`] at every
     /// worker count: blocks are contiguous and order-preserving, and a
     /// single query's scan never splits across threads.
-    fn search_batch_blocked(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        threads: usize,
-        query_block: usize,
-    ) -> Vec<SearchResult> {
+    fn search_batch(&self, queries: &[Vec<f32>], k: usize, threads: usize) -> Vec<SearchResult> {
         if queries.is_empty() {
             return Vec::new();
         }
@@ -259,20 +250,12 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
         } else {
             threads
         };
-        let block = kernels::resolve_query_block(query_block, queries.len(), threads);
+        let block = kernels::auto_query_block(queries.len(), threads);
         let blocks: Vec<&[Vec<f32>]> = queries.chunks(block).collect();
         map_elems(&blocks, threads, |b| self.search_block(b, k))
             .into_iter()
             .flatten()
             .collect()
-    }
-
-    /// Thread-sharded batch search: routes through
-    /// [`VectorIndex::search_batch_blocked`] at the auto block size,
-    /// so every batch caller gets the cache-blocked scan. Each query's
-    /// result is identical to [`VectorIndex::search`].
-    fn search_batch(&self, queries: &[Vec<f32>], k: usize, threads: usize) -> Vec<SearchResult> {
-        self.search_batch_blocked(queries, k, threads, 0)
     }
 
     /// Adds one labeled vector, assigning it the next insertion id.
@@ -316,8 +299,8 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
 /// Which backend a deployment should serve from.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum IndexConfig {
-    /// Exact brute-force scan (the default; decisions bit-identical to
-    /// the historical serving path).
+    /// Exact brute-force scan (the default, and the oracle every other
+    /// backend's recall is measured against).
     #[default]
     Flat,
     /// Inverted-file index with the given parameters.

@@ -1,8 +1,7 @@
 //! The sharded reference store: class-partitioned storage with one
-//! serving index per shard — the 13k-class serving layout — and, since
-//! the concurrency PR, a lock-per-shard execution model that lets
-//! queries fan out across a worker pool while mutations touch only the
-//! owning shard's lock.
+//! serving index per shard — the 13k-class serving layout — and a
+//! lock-per-shard execution model that lets queries fan out across a
+//! worker pool while mutations touch only the owning shard's lock.
 //!
 //! A single [`crate::FlatIndex`] or [`crate::IvfIndex`] holds every
 //! reference embedding in one monolith, and provisioning materializes
@@ -33,15 +32,14 @@
 //! - **Queries fan out and merge deterministically**: every shard is
 //!   searched under its read lock and the per-shard top-k merge under
 //!   a fixed `(distance, id)` tie-break, so results are identical for
-//!   every thread count. With `S = 1` the single shard's result is
-//!   returned untouched — **bit-identical** to the unsharded store,
-//!   heap order included. Across *different* shard counts, exact
-//!   backends serve identical decisions up to one edge case: an exact
-//!   distance tie between different-class duplicates landing precisely
-//!   on the k-th neighbor boundary may keep a different tied point
-//!   (the flat heap prefers the first-inserted, the merge the smallest
-//!   global id). Real embeddings don't produce such ties; the tier-1
-//!   profile tests hold full identity on every corpus.
+//!   every thread count. Every shard count — `S = 1` included — takes
+//!   this one path, and the merge is the one place neighbors get their
+//!   `(dist, id)` order (backends keep their own). Across *different*
+//!   shard counts, exact backends serve identical decisions up to one
+//!   edge case: the merge breaks an exact distance tie at the k-th
+//!   neighbor by global id, and global ids depend on `S`. Real
+//!   embeddings don't produce such ties; the tier-1 profile tests hold
+//!   full identity on every corpus.
 //!
 //! # Concurrency model
 //!
@@ -59,12 +57,12 @@
 //!    deadlock — cannot form.
 //! 2. **(Shard × query-block) fan-out.** [`ShardedStore::search_batch_concurrent`]
 //!    hands each worker a *(shard, query-block)* pair: the worker
-//!    read-locks its shard once, runs one contiguous block of queries
-//!    against it through the blocked scan kernel
-//!    ([`VectorIndex::search_block`]), and releases. One query's scan
-//!    is never split across threads, so no floating-point reduction
-//!    ever changes order — blocking only decides *which* queries share
-//!    a worker's row loads.
+//!    read-locks its shard once, runs one contiguous block of
+//!    [`crate::kernels::auto_query_block`] queries against it through
+//!    the blocked scan kernel ([`VectorIndex::search_block`]), and
+//!    releases. One query's scan is never split across threads, so no
+//!    floating-point reduction ever changes order — blocking only
+//!    decides *which* queries share a worker's row loads.
 //! 3. **Ordered commit.** Workers finish in any order, but per-shard
 //!    results are merged strictly in shard order (ids remapped, then
 //!    one sort under `(dist, global id)`), so the merged neighbor
@@ -292,9 +290,6 @@ pub struct ShardedStore {
     dim: usize,
     metric: Metric,
     config: IndexConfig,
-    /// Queries per blocked-scan block on the batch paths (`0` = auto;
-    /// see [`crate::kernels::resolve_query_block`]).
-    query_block: usize,
     n_classes: AtomicUsize,
     shards: Vec<RwLock<StoreShard>>,
     /// Gauge handles only — never serialized, never compared.
@@ -307,7 +302,6 @@ impl Clone for ShardedStore {
             dim: self.dim,
             metric: self.metric,
             config: self.config,
-            query_block: self.query_block,
             n_classes: AtomicUsize::new(self.n_classes()),
             shards: (0..self.shards.len())
                 .map(|s| RwLock::new(self.read_shard(s).clone()))
@@ -322,7 +316,6 @@ impl PartialEq for ShardedStore {
         self.dim == other.dim
             && self.metric == other.metric
             && self.config == other.config
-            && self.query_block == other.query_block
             && self.n_classes() == other.n_classes()
             && self.shards.len() == other.shards.len()
             && (0..self.shards.len()).all(|s| *self.read_shard(s) == *other.read_shard(s))
@@ -336,7 +329,6 @@ impl Serialize for ShardedStore {
             ("dim".to_string(), self.dim.to_value()),
             ("metric".to_string(), self.metric.to_value()),
             ("config".to_string(), self.config.to_value()),
-            ("query_block".to_string(), self.query_block.to_value()),
             ("n_classes".to_string(), self.n_classes().to_value()),
             (
                 "shards".to_string(),
@@ -357,19 +349,10 @@ impl Deserialize for ShardedStore {
             .ok_or_else(|| serde::json::Error::custom("ShardedStore: expected object"))?;
         let shards: Vec<StoreShard> = serde::json::field(pairs, "shards")?;
         let telemetry = StoreTelemetry::new(shards.len());
-        // Tolerant lookup: snapshots written before the knob existed
-        // simply keep the auto behavior.
-        let query_block = pairs
-            .iter()
-            .find(|(key, _)| key.as_str() == "query_block")
-            .map(|(_, v)| usize::from_value(v))
-            .transpose()?
-            .unwrap_or(0);
         Ok(ShardedStore {
             dim: serde::json::field(pairs, "dim")?,
             metric: serde::json::field(pairs, "metric")?,
             config: serde::json::field(pairs, "config")?,
-            query_block,
             n_classes: AtomicUsize::new(serde::json::field(pairs, "n_classes")?),
             shards: shards.into_iter().map(RwLock::new).collect(),
             telemetry,
@@ -397,7 +380,6 @@ impl ShardedStore {
             dim,
             metric,
             config: *config,
-            query_block: 0,
             n_classes: AtomicUsize::new(n_classes),
             shards: (0..n_shards)
                 .map(|_| RwLock::new(StoreShard::empty(dim, metric, config)))
@@ -521,20 +503,6 @@ impl ShardedStore {
     /// The per-shard index backend in use.
     pub fn index_config(&self) -> IndexConfig {
         self.config
-    }
-
-    /// The query-block knob the batch paths scan with (`0` = auto:
-    /// batch split evenly across workers, capped at
-    /// [`crate::MAX_QUERY_BLOCK`]).
-    pub fn query_block(&self) -> usize {
-        self.query_block
-    }
-
-    /// Sets the query-block knob. Results are bit-identical at every
-    /// value — the knob only moves the cache-amortization /
-    /// parallelism trade-off.
-    pub fn set_query_block(&mut self, query_block: usize) {
-        self.query_block = query_block;
     }
 
     /// The shard owning `class` under this store's partitioning.
@@ -989,23 +957,30 @@ impl ShardedStore {
     /// tie-break and truncates to `k`. Bit-identical output for every
     /// worker count by construction.
     ///
-    /// This is also where the `backend="sharded"` query/eval counters
-    /// record for multi-shard stores. The single-shard fast paths
-    /// return the inner backend's result untouched but record the same
-    /// `sharded` counters themselves, so the store's front-door totals
-    /// are shard-count-independent (the inner backend's own counters
-    /// advance too, as on every path).
+    /// This is the one place neighbors get their `(dist, id)` order —
+    /// backends keep their own — and where the `backend="sharded"`
+    /// query/eval counters record, once per query at every shard count
+    /// (the inner backend's own counters advance too).
     fn merge_shard_results(&self, per_shard: Vec<SearchResult>, k: usize) -> SearchResult {
-        let mut merged: Vec<Neighbor> = Vec::with_capacity(k * 2);
+        // The first shard's buffer becomes the merge buffer (grown once,
+        // to the exact total), so a one-shard store merges in place.
+        let gathered: usize = per_shard.iter().map(|r| r.neighbors.len()).sum();
+        let mut merged: Vec<Neighbor> = Vec::new();
         let mut nearest = f32::INFINITY;
         let mut evals = 0u64;
         for (s, r) in per_shard.into_iter().enumerate() {
             evals += r.distance_evals;
             nearest = nearest.min(r.nearest);
-            merged.extend(r.neighbors.into_iter().map(|n| Neighbor {
-                id: self.global_id(s, n.id),
-                ..n
-            }));
+            let start = merged.len();
+            if merged.is_empty() {
+                merged = r.neighbors;
+                merged.reserve_exact(gathered - merged.len());
+            } else {
+                merged.extend(r.neighbors);
+            }
+            for n in &mut merged[start..] {
+                n.id = self.global_id(s, n.id);
+            }
         }
         merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
         merged.truncate(k.max(1));
@@ -1023,11 +998,6 @@ impl ShardedStore {
     /// at a time. The ordered-commit merge makes the result
     /// bit-identical to [`VectorIndex::search`] at every worker count.
     pub fn search_concurrent(&self, query: &[f32], k: usize, workers: usize) -> SearchResult {
-        if self.shards.len() == 1 {
-            let result = self.read_shard(0).index.0.as_dyn().search(query, k);
-            crate::record_backend_search!("sharded", result);
-            return result;
-        }
         let workers = resolve_workers(workers);
         let shard_ids: Vec<usize> = (0..self.shards.len()).collect();
         let per_shard = {
@@ -1042,58 +1012,26 @@ impl ShardedStore {
     }
 
     /// The batch front door: the batch is split into contiguous
-    /// query-blocks ([`ShardedStore::query_block`]; `0` = auto) and
-    /// every *(shard, block)* pair becomes one worker task fanned out
-    /// across `workers` threads (`0` = all cores). Each worker
-    /// read-locks its shard, runs its block through the backend's
-    /// blocked scan ([`VectorIndex::search_block`] — each row tile
-    /// loaded once per block), and releases; per-shard results then
-    /// merge under the ordered-commit rule. Results are bit-identical
-    /// to calling [`VectorIndex::search`] per query, at every worker
-    /// count and every block size.
-    ///
-    /// With one shard the blocks go straight through the inner
-    /// backend's [`VectorIndex::search_batch_blocked`] (no merge
-    /// needed), preserving the inner result bit-for-bit — heap order
-    /// included.
+    /// query-blocks ([`crate::kernels::auto_query_block`]) and every
+    /// *(shard, block)* pair becomes one worker task fanned out across
+    /// `workers` threads (`0` = all cores). Each worker read-locks its
+    /// shard, runs its block through the backend's blocked scan
+    /// ([`VectorIndex::search_block`] — each row tile loaded once per
+    /// block), and releases; per-shard results then merge under the
+    /// ordered-commit rule. Results are bit-identical to calling
+    /// [`VectorIndex::search`] per query, at every worker count.
     pub fn search_batch_concurrent(
         &self,
         queries: &[Vec<f32>],
         k: usize,
         workers: usize,
     ) -> Vec<SearchResult> {
-        self.batch_concurrent_with(queries, k, workers, self.query_block)
-    }
-
-    /// The (shard × query-block) fan-out behind every batch path; see
-    /// [`ShardedStore::search_batch_concurrent`].
-    fn batch_concurrent_with(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        workers: usize,
-        query_block: usize,
-    ) -> Vec<SearchResult> {
         if queries.is_empty() {
             return Vec::new();
         }
         let workers = resolve_workers(workers);
-        if self.shards.len() == 1 {
-            let results = {
-                let shard = self.read_shard(0);
-                shard
-                    .index
-                    .0
-                    .as_dyn()
-                    .search_batch_blocked(queries, k, workers, query_block)
-            };
-            for result in &results {
-                crate::record_backend_search!("sharded", result);
-            }
-            return results;
-        }
         let n_shards = self.shards.len();
-        let qb = crate::kernels::resolve_query_block(query_block, queries.len(), workers);
+        let qb = crate::kernels::auto_query_block(queries.len(), workers);
         let n_blocks = queries.len().div_ceil(qb);
         let tasks: Vec<(usize, usize)> = (0..n_shards)
             .flat_map(|s| (0..n_blocks).map(move |b| (s, b)))
@@ -1146,39 +1084,18 @@ impl VectorIndex for ShardedStore {
 
     /// Fans the query out across every shard (read-locking one at a
     /// time) and merges the per-shard top-k under the fixed
-    /// `(distance, id)` tie-break. With one shard the inner result is
-    /// returned untouched (bit-identical to the unsharded backend,
-    /// neighbor order included); with more, the merged neighbors come
-    /// back sorted ascending by `(dist, id)`.
+    /// `(distance, id)` tie-break: the merged neighbors come back
+    /// sorted ascending by `(dist, id)` at every shard count.
     fn search(&self, query: &[f32], k: usize) -> SearchResult {
-        if self.shards.len() == 1 {
-            let result = self.read_shard(0).index.0.as_dyn().search(query, k);
-            crate::record_backend_search!("sharded", result);
-            return result;
-        }
         let per_shard: Vec<SearchResult> = (0..self.shards.len())
             .map(|s| self.read_shard(s).index.0.as_dyn().search(query, k))
             .collect();
         self.merge_shard_results(per_shard, k)
     }
 
-    /// Routes to the (shard × query-block) fan-out with an explicit
-    /// block size, overriding the store's [`ShardedStore::query_block`]
-    /// knob for this call.
-    fn search_batch_blocked(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        threads: usize,
-        query_block: usize,
-    ) -> Vec<SearchResult> {
-        self.batch_concurrent_with(queries, k, threads, query_block)
-    }
-
     /// Routes to [`ShardedStore::search_batch_concurrent`]: the whole
-    /// serving path gets (shard × query-block) concurrent fan-out, at
-    /// the store's configured block size, through the trait it already
-    /// calls.
+    /// serving path gets (shard × query-block) concurrent fan-out
+    /// through the trait it already calls.
     fn search_batch(&self, queries: &[Vec<f32>], k: usize, threads: usize) -> Vec<SearchResult> {
         self.search_batch_concurrent(queries, k, threads)
     }
@@ -1240,15 +1157,19 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_search_is_bit_identical_to_flat() {
+    fn single_shard_search_is_flat_result_in_merge_order() {
         let (data, labels) = clustered(6, 5, 3);
         let rows = Rows::new(3, &data);
         let store = ShardedStore::build(&IndexConfig::Flat, Metric::Euclidean, rows, &labels, 6, 1);
         let flat = FlatIndex::from_rows(Metric::Euclidean, rows, &labels);
         for c in 0..6 {
             let q = vec![c as f32 * 3.0 + 0.005; 3];
-            // Same neighbors in the same (heap) order, same score bits.
-            assert_eq!(store.search(&q, 4), flat.search(&q, 4));
+            // Same neighbors and score bits; only the merge's
+            // `(dist, id)` order differs from the flat heap's.
+            let mut want = flat.search(&q, 4);
+            want.neighbors
+                .sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            assert_eq!(store.search(&q, 4), want);
         }
     }
 

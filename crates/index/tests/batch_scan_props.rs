@@ -1,10 +1,11 @@
 //! Property tests for the query-blocked batch scan kernels: over
 //! random ragged batches, corpora full of exact duplicate rows
-//! (guaranteed distance ties), every backend's blocked
-//! `search_batch_blocked` must be **bit-identical** to the per-query
-//! `search` loop — distances, ids, labels, neighbor order (the flat
-//! backend's heap iteration order included) and `distance_evals` — at
-//! block sizes {1, 3, 64, > batch, auto} and worker counts {1, 4, 0}.
+//! (guaranteed distance ties), every backend's blocked `search_block`
+//! kernel must be **bit-identical** to the per-query `search` loop —
+//! distances, ids, labels, neighbor order (the flat backend's heap
+//! iteration order included) and `distance_evals` — at block sizes
+//! {1, 3, 64, > batch}, and so must `search_batch` at its auto block
+//! size and worker counts {1, 4, 0}.
 //!
 //! This is the contract that makes the blocked kernels safe to route
 //! every batch caller through: blocking reorders which (query, row)
@@ -74,19 +75,20 @@ fn assert_blocked_matches_serial(
         "{} search_block diverged",
         backend
     );
-    for query_block in [1usize, 3, 64, queries.len() + 7] {
-        for threads in [1usize, 4, 0] {
-            prop_assert_eq!(
-                &index.search_batch_blocked(queries, k, threads, query_block),
-                &serial,
-                "{} diverged at query_block={} threads={}",
-                backend,
-                query_block,
-                threads
-            );
-        }
+    for block in [1usize, 3, 64, queries.len() + 7] {
+        let blocked: Vec<SearchResult> = queries
+            .chunks(block)
+            .flat_map(|b| index.search_block(b, k))
+            .collect();
+        prop_assert_eq!(
+            &blocked,
+            &serial,
+            "{} diverged at block size {}",
+            backend,
+            block
+        );
     }
-    // The auto block size (0) through the default batch front door.
+    // The auto block size through the batch front door.
     for threads in [1usize, 4, 0] {
         prop_assert_eq!(
             &index.search_batch(queries, k, threads),
@@ -143,15 +145,5 @@ proptest! {
             shards,
         );
         assert_blocked_matches_serial(&store, &queries, k, "sharded");
-        // The store-level knob routes the same way as the explicit arg.
-        let serial: Vec<SearchResult> = queries.iter().map(|q| store.search(q, k)).collect();
-        let mut knobbed = store.clone();
-        knobbed.set_query_block(3);
-        prop_assert_eq!(knobbed.query_block(), 3);
-        prop_assert_eq!(
-            &knobbed.search_batch_concurrent(&queries, k, 2),
-            &serial,
-            "store-level query_block knob diverged"
-        );
     }
 }

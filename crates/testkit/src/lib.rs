@@ -22,6 +22,7 @@
 
 use std::sync::OnceLock;
 
+use tlsfp_core::open_world::PerClassThresholds;
 use tlsfp_core::pipeline::{AdaptiveFingerprinter, PipelineConfig};
 use tlsfp_trace::dataset::Dataset;
 use tlsfp_trace::tensorize::TensorConfig;
@@ -257,8 +258,8 @@ pub struct OpenWorldFixture {
     /// Loads of pages outside the monitored set (never seen in
     /// training).
     pub unmonitored: Dataset,
-    /// Calibrated rejection threshold.
-    pub threshold: f32,
+    /// Calibrated global rejection threshold (one shared radius).
+    pub threshold: PerClassThresholds,
 }
 
 /// The tiny open-world fixture (cached; cloned out). Provisioning runs
@@ -331,7 +332,7 @@ mod tests {
         let fx = tiny_open_world();
         assert_eq!(fx.monitored_test.n_classes(), TINY_MONITORED);
         assert_eq!(fx.unmonitored.n_classes(), TINY_CLASSES - TINY_MONITORED);
-        assert!(fx.threshold.is_finite() && fx.threshold > 0.0);
+        assert!(fx.threshold.fallback.is_finite() && fx.threshold.fallback > 0.0);
         assert_eq!(
             fx.fingerprinter.reference().n_classes(),
             TINY_MONITORED,

@@ -10,6 +10,7 @@
 
 use tlsfp::core::pipeline::{AdaptiveFingerprinter, PipelineConfig};
 use tlsfp::core::IndexConfig;
+use tlsfp::index::VectorIndex;
 use tlsfp::trace::dataset::Dataset;
 use tlsfp::trace::tensorize::TensorConfig;
 use tlsfp::web::corpus::CorpusSpec;
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flat_top1 = adversary.evaluate(&test).top_n_accuracy(1);
     println!(
         "      flat backend: {} reference vectors, top-1 {:.3}",
-        adversary.index().len(),
+        adversary.reference().len(),
         flat_top1
     );
 
@@ -48,14 +49,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     adversary.set_index(IndexConfig::ivf_default());
     let ivf_top1 = adversary.evaluate(&test).top_n_accuracy(1);
     let probe_result = adversary
-        .index()
+        .reference()
         .search(&adversary.embed_all(&test.seqs()[..1])[0], adversary.k());
     println!(
         "      IVF backend: top-1 {:.3} (flat {:.3}), one query costs {} distance evals of {} vectors",
         ivf_top1,
         flat_top1,
         probe_result.distance_evals,
-        adversary.index().len()
+        adversary.reference().len()
     );
 
     // 3. Adapt incrementally: page 3 changed its content (swap its
@@ -83,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let new_id = adversary.add_class(&new_traces)?;
     println!(
         "      swapped {swapped} embeddings of page 3; page {new_id} now monitored ({} vectors indexed)",
-        adversary.index().len()
+        adversary.reference().len()
     );
 
     // 4. Open-world queries through the pruned index: calibrate a
@@ -94,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let accepted = test
         .seqs()
         .iter()
-        .filter(|t| adversary.fingerprint_open_world(t, threshold).is_some())
+        .filter(|t| adversary.fingerprint_open_world(t, &threshold).is_some())
         .count();
     println!(
         "      monitored loads   -> {accepted}/{} accepted and classified",
@@ -108,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rejected = foreign
         .seqs()
         .iter()
-        .filter(|t| adversary.fingerprint_open_world(t, threshold).is_none())
+        .filter(|t| adversary.fingerprint_open_world(t, &threshold).is_none())
         .count();
     println!(
         "      foreign site      -> {rejected}/{} loads rejected as outliers",
@@ -126,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exact_top1 = adversary.evaluate(&test).top_n_accuracy(1);
     adversary.set_index(IndexConfig::pq_default());
     let pq_top1 = adversary.evaluate(&test).top_n_accuracy(1);
-    let dim = adversary.index().dim();
+    let dim = adversary.reference().dim();
     let code_bytes = tlsfp::index::PqParams::auto().resolved_m(dim);
     println!(
         "      PQ backend: top-1 {:.3} (exact {:.3}), {} -> {} bytes/embedding in the scan ({}x smaller)",

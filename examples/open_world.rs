@@ -44,12 +44,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    hold-out, evaluate on the other half.
     let (eval, calib) = heldout.split_per_class(0.5, SEED + 1);
     let threshold = adversary.calibrate_rejection_threshold(&calib, 90.0)?;
-    println!("[3/4] calibrated rejection threshold: {threshold:.6}");
+    println!(
+        "[3/4] calibrated rejection threshold: {:.6}",
+        threshold.fallback
+    );
 
     // 4. Open-world evaluation: same-site unmonitored pages, then a
     //    foreign site for contrast.
     println!("[4/4] evaluating detection…\n");
-    let report = adversary.evaluate_open_world(&eval, &unmonitored, threshold);
+    let report = adversary.evaluate_open_world(&eval, &unmonitored, &threshold);
     println!(
         "      same-site open world: TPR={:.3} FPR={:.3} precision={:.3} AUC={:.3}",
         report.counts.tpr(),
@@ -67,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &TensorConfig::wiki(),
         SEED + 99,
     )?;
-    let foreign_report = adversary.evaluate_open_world(&eval, &foreign, threshold);
+    let foreign_report = adversary.evaluate_open_world(&eval, &foreign, &threshold);
     println!(
         "      foreign-site open world: FPR={:.3} (easier: different theme and hosting)",
         foreign_report.counts.fpr()

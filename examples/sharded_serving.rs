@@ -12,6 +12,7 @@
 //! contract, scaling knobs).
 
 use tlsfp::core::pipeline::{AdaptiveFingerprinter, PipelineConfig};
+use tlsfp::index::VectorIndex;
 use tlsfp::trace::dataset::Dataset;
 use tlsfp::trace::tensorize::TensorConfig;
 use tlsfp::web::corpus::CorpusSpec;
@@ -48,11 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Serve queries: every fingerprint fans out across the shards
     //    and merges per-shard top-k under a fixed (distance, id)
-    //    tie-break — decisions are identical to an unsharded store.
+    //    tie-break — decisions are identical to a one-shard store.
     println!("[2/5] serving queries through the shard fan-out…");
     let top1 = adversary.evaluate(&test).top_n_accuracy(1);
     let probe = adversary
-        .index()
+        .reference()
         .search(&adversary.embed_all(&test.seqs()[..1])[0], adversary.k());
     println!(
         "      top-1 {:.3}; one query costs {} distance evals over {} vectors",

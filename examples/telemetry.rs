@@ -23,9 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== runtime telemetry ==\n");
 
-    // 1. Provision a sharded deployment. `config.telemetry` defaults to
-    //    true; provisioning applies it process-wide, so everything that
-    //    follows records into the global registry.
+    // 1. Provision a sharded deployment. Recording is on by default
+    //    (one process-wide flag), so everything that follows records
+    //    into the global registry.
     println!("[1/5] provisioning ({CLASSES} pages x {TRACES_PER_CLASS} visits, 3 shards)…");
     let spec = CorpusSpec::wiki_like(CLASSES, TRACES_PER_CLASS);
     let (_, dataset) = Dataset::generate(&spec, &TensorConfig::wiki(), SEED)?;

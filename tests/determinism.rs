@@ -4,41 +4,65 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use tlsfp::core::knn::KnnClassifier;
+use tlsfp::core::knn::{rank_search, ScoredPrediction};
 use tlsfp::core::pipeline::AdaptiveFingerprinter;
-use tlsfp::core::reference::ReferenceSet;
+use tlsfp::index::sharded::ShardedStore;
+use tlsfp::index::{FlatIndex, IndexConfig, Metric, Rows, VectorIndex};
 
-/// A seeded reference set of `n` embeddings over `classes` classes.
-fn synthetic_reference(n: usize, classes: usize, dim: usize, seed: u64) -> ReferenceSet {
+/// A seeded reference set of `n` embeddings over `classes` classes, as
+/// `(row-major data, labels)`.
+fn synthetic_reference(n: usize, classes: usize, dim: usize, seed: u64) -> (Vec<f32>, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut reference = ReferenceSet::new(dim, classes);
+    let mut data = Vec::with_capacity(n * dim);
+    let mut labels = Vec::with_capacity(n);
     for i in 0..n {
         let class = i % classes;
         // Class-dependent mean keeps the problem non-degenerate.
         let center = class as f32 / classes as f32;
-        let e: Vec<f32> = (0..dim)
-            .map(|_| center + rng.random_range(-0.1f32..0.1))
-            .collect();
-        reference.add(class, e).unwrap();
+        data.extend((0..dim).map(|_| center + rng.random_range(-0.1f32..0.1)));
+        labels.push(class);
     }
-    reference
+    (data, labels)
 }
 
 #[test]
 fn classify_all_is_identical_across_thread_counts() {
-    let reference = synthetic_reference(200, 10, 16, 42);
+    let (data, labels) = synthetic_reference(200, 10, 16, 42);
+    let rows = Rows::new(16, &data);
     let mut rng = StdRng::seed_from_u64(43);
     let queries: Vec<Vec<f32>> = (0..64)
         .map(|_| (0..16).map(|_| rng.random_range(0f32..1.0)).collect())
         .collect();
 
-    let knn = KnnClassifier::new(7);
-    let single = knn.classify_all(&queries, &reference, 1);
-    let parallel = knn.classify_all(&queries, &reference, 8);
+    // The exact oracle's batch scan, and the serving store's fan-out
+    // at one and several shards, all ranked by the one vote.
+    let rank = |results: Vec<_>| -> Vec<ScoredPrediction> {
+        results.into_iter().map(rank_search).collect()
+    };
+    let flat = FlatIndex::from_rows(Metric::Euclidean, rows, &labels);
+    let single = rank(flat.search_batch(&queries, 7, 1));
     assert_eq!(
-        single, parallel,
+        single,
+        rank(flat.search_batch(&queries, 7, 8)),
         "kNN rankings must not depend on the thread count"
     );
+    for shards in [1usize, 4] {
+        let store = ShardedStore::build(
+            &IndexConfig::Flat,
+            Metric::Euclidean,
+            rows,
+            &labels,
+            10,
+            shards,
+        );
+        for workers in [1usize, 8] {
+            assert_eq!(
+                single,
+                rank(store.search_batch_concurrent(&queries, 7, workers)),
+                "store rankings diverged at shards={shards} workers={workers}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -69,10 +93,10 @@ fn open_world_evaluation_is_identical_across_thread_counts() {
         let decisions: Vec<bool> = fp
             .fingerprint_with_score_all(&fx.monitored_test)
             .iter()
-            .map(|sp| sp.accepted(fx.threshold))
+            .map(|sp| fx.threshold.accepts(sp.score, sp.prediction.top(), 0.0))
             .collect();
         // Full evaluation: counts, accepted-top-1 and every ROC point.
-        let report = fp.evaluate_open_world(&fx.monitored_test, &fx.unmonitored, fx.threshold);
+        let report = fp.evaluate_open_world(&fx.monitored_test, &fx.unmonitored, &fx.threshold);
         outcomes.push((threads, decisions, report));
     }
     for (threads, decisions, report) in &outcomes[1..] {
@@ -132,8 +156,11 @@ fn decisions_and_scores_identical_across_query_worker_counts() {
             // accept/reject at the calibrated threshold.
             let scored = fp_w.fingerprint_with_score_all(&test);
             let score_bits: Vec<u32> = scored.iter().map(|sp| sp.score.to_bits()).collect();
-            let accepts: Vec<bool> = scored.iter().map(|sp| sp.accepted(threshold)).collect();
-            let report = fp_w.evaluate_open_world(&test, &unmonitored, threshold);
+            let accepts: Vec<bool> = scored
+                .iter()
+                .map(|sp| threshold.accepts(sp.score, sp.prediction.top(), 0.0))
+                .collect();
+            let report = fp_w.evaluate_open_world(&test, &unmonitored, &threshold);
             outcomes.push((workers, decisions, score_bits, accepts, report));
         }
         let baseline = &outcomes[0];
@@ -193,8 +220,11 @@ fn pq_backed_decisions_and_scores_identical_across_query_worker_counts() {
         let decisions = fp_w.fingerprint_all(&test);
         let scored = fp_w.fingerprint_with_score_all(&test);
         let score_bits: Vec<u32> = scored.iter().map(|sp| sp.score.to_bits()).collect();
-        let accepts: Vec<bool> = scored.iter().map(|sp| sp.accepted(threshold)).collect();
-        let report = fp_w.evaluate_open_world(&test, &unmonitored, threshold);
+        let accepts: Vec<bool> = scored
+            .iter()
+            .map(|sp| threshold.accepts(sp.score, sp.prediction.top(), 0.0))
+            .collect();
+        let report = fp_w.evaluate_open_world(&test, &unmonitored, &threshold);
         outcomes.push((workers, decisions, score_bits, accepts, report));
     }
     let baseline = &outcomes[0];

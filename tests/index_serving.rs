@@ -10,19 +10,17 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use tlsfp::core::knn::{RankedPrediction, ScoredPrediction};
+use tlsfp::core::open_world::PerClassThresholds;
 use tlsfp::core::pipeline::AdaptiveFingerprinter;
-use tlsfp::core::{IndexConfig, ReferenceSet};
+use tlsfp::core::IndexConfig;
+use tlsfp::index::{FlatIndex, Metric, Rows, VectorIndex};
 use tlsfp::nn::seq::SeqInput;
 use tlsfp_testkit::{tiny_adversary, tiny_split, SEED};
 
 /// The pre-index serving path, verbatim: a dist-keyed bounded max-heap
 /// over the reference embeddings in insertion order, votes tallied in
 /// heap-iteration order, stable-sorted by (votes desc, best dist asc).
-fn oracle_classify_with_score(
-    k: usize,
-    query: &[f32],
-    reference: &ReferenceSet,
-) -> ScoredPrediction {
+fn oracle_classify_with_score(k: usize, query: &[f32], reference: &FlatIndex) -> ScoredPrediction {
     struct Entry {
         dist: f32,
         label: usize,
@@ -56,7 +54,7 @@ fn oracle_classify_with_score(
     let k = k.min(reference.len()).max(1);
     let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(k + 1);
     let mut nearest = f32::INFINITY;
-    for (emb, &label) in reference.as_rows().iter().zip(reference.labels()) {
+    for (emb, &label) in reference.rows().iter().zip(reference.labels()) {
         let dist = euclidean_sq(query, emb);
         nearest = nearest.min(dist);
         if heap.len() < k {
@@ -97,14 +95,12 @@ fn default_flat_backend_is_bit_identical_to_pre_index_oracle() {
     assert_eq!(fp.n_shards(), 1, "default serving store is unsharded");
     // The default store has one shard, whose rows are the reference
     // set in insertion order — rebuild the historical flat set.
-    let mut reference = ReferenceSet::new(fp.reference().dim(), fp.reference().n_classes());
     let (labels0, rows0) = fp.reference().shard_snapshot(0);
-    reference
-        .add_rows(
-            &labels0,
-            tlsfp::index::Rows::new(fp.reference().dim(), &rows0),
-        )
-        .expect("shard rows are a valid reference set");
+    let reference = FlatIndex::from_rows(
+        Metric::Euclidean,
+        Rows::new(fp.reference().dim(), &rows0),
+        &labels0,
+    );
     let (_, test) = tiny_split();
     let embeddings = fp.embed_all(test.seqs());
     for (trace, emb) in test.seqs().iter().zip(&embeddings) {
@@ -117,8 +113,8 @@ fn default_flat_backend_is_bit_identical_to_pre_index_oracle() {
         // Open-world decisions follow bit-identically at any threshold.
         for threshold in [0.0f32, oracle.score, oracle.score * 2.0, 1e9] {
             assert_eq!(
-                oracle.clone().into_open_world(threshold),
-                fp.fingerprint_open_world(trace, threshold)
+                (oracle.score <= threshold).then(|| oracle.prediction.clone()),
+                fp.fingerprint_open_world(trace, &PerClassThresholds::global(threshold))
             );
         }
     }
@@ -129,7 +125,7 @@ fn ivf_deployment_agrees_with_flat_on_nearly_all_decisions() {
     let flat = tiny_adversary();
     let mut ivf = tiny_adversary();
     ivf.set_index(IndexConfig::ivf_default());
-    assert_eq!(ivf.index().len(), ivf.reference().len());
+    assert_eq!(ivf.reference().len(), flat.reference().len());
     let (_, test) = tiny_split();
     let agree = test
         .seqs()
@@ -155,13 +151,15 @@ fn ivf_deployment_survives_adaptation_and_serde() {
         .filter(|(l, _)| *l == 2)
         .map(|(_, s)| s.clone())
         .collect();
-    fp.update_class(2, &fresh).unwrap();
-    assert_eq!(fp.index().len(), fp.reference().len());
+    let before = fp.reference().len();
+    let removed = fp.update_class(2, &fresh).unwrap();
+    assert_eq!(fp.reference().class_count(2), fresh.len());
+    assert_eq!(fp.reference().len(), before - removed + fresh.len());
 
-    // Add a brand-new class; index and reference stay aligned.
+    // Add a brand-new class; the store grows by exactly its traces.
     let new_traces: Vec<SeqInput> = test.seqs()[..3].to_vec();
     let id = fp.add_class(&new_traces).unwrap();
-    assert_eq!(fp.index().len(), fp.reference().len());
+    assert_eq!(fp.reference().class_count(id), new_traces.len());
     // The new class is findable.
     let found = new_traces
         .iter()

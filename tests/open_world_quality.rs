@@ -8,8 +8,11 @@
 //! percentile on the same held-out monitored loads, then evaluated on
 //! those loads against every unmonitored load. Identical data, identical
 //! percentile — the only difference is one radius versus one per class.
+//!
+//! Both detectors run through the one accept rule; the global one is
+//! also checked against the raw-score global detector it replaced.
 
-use tlsfp::core::open_world::PerClassThresholds;
+use tlsfp::core::open_world::{roc_auc, OpenWorldReport, PerClassThresholds};
 use tlsfp::web::corpus::open_world_split;
 use tlsfp_testkit::{
     open_world_profile_dataset, tiny_adversary, Profile, OPEN_WORLD_MONITORED, SEED,
@@ -34,11 +37,51 @@ fn per_class_radii_never_lower_tpr_minus_fpr_on_any_profile() {
         let global = fp
             .calibrate_rejection_threshold(&heldout, PERCENTILE)
             .unwrap();
-        let g = fp.evaluate_open_world(&heldout, &unmonitored, global);
+        let g = fp.evaluate_open_world(&heldout, &unmonitored, &global);
         let radii = fp
             .calibrate_rejection_radii(&heldout, PERCENTILE, MIN_SAMPLES)
             .unwrap();
-        let p = fp.evaluate_open_world_per_class(&heldout, &unmonitored, &radii);
+        let p = fp.evaluate_open_world(&heldout, &unmonitored, &radii);
+
+        // The global rule is the old raw-score global detector at the
+        // calibrated threshold `t`: per-trace accepts are `score <= t`,
+        // and the report's counts, accepted top-1 and AUC match the
+        // score-table report at `t`.
+        let t = global.fallback;
+        let monitored_scored = fp.fingerprint_with_score_all(&heldout);
+        let unmonitored_scored = fp.fingerprint_with_score_all(&unmonitored);
+        let traces = heldout.seqs().iter().chain(unmonitored.seqs());
+        for (trace, sp) in traces.zip(monitored_scored.iter().chain(&unmonitored_scored)) {
+            assert_eq!(
+                fp.fingerprint_open_world(trace, &global).is_some(),
+                sp.score <= t,
+                "{}: global-rule accept differs from score <= t",
+                profile.name()
+            );
+        }
+        let raw = |scored: &[tlsfp::core::ScoredPrediction]| -> Vec<f32> {
+            scored.iter().map(|sp| sp.score).collect()
+        };
+        let top1_correct: Vec<bool> = monitored_scored
+            .iter()
+            .zip(heldout.labels())
+            .map(|(sp, &label)| sp.prediction.top() == Some(label))
+            .collect();
+        let old = OpenWorldReport::evaluate(
+            &raw(&monitored_scored),
+            &top1_correct,
+            &raw(&unmonitored_scored),
+            t,
+        );
+        assert_eq!(g.counts, old.counts, "{}", profile.name());
+        assert_eq!(g.accepted_top1, old.accepted_top1, "{}", profile.name());
+        assert!(
+            (roc_auc(&g.roc) - roc_auc(&old.roc)).abs() < 1e-6,
+            "{}: AUC {} vs raw-score {}",
+            profile.name(),
+            roc_auc(&g.roc),
+            roc_auc(&old.roc)
+        );
 
         let g_sep = g.counts.tpr() - g.counts.fpr();
         let p_sep = p.counts.tpr() - p.counts.fpr();
@@ -112,11 +155,11 @@ fn per_class_decisions_agree_with_report_counts() {
         .unwrap();
 
     // The per-trace API and the batch report count the same accepts.
-    let report = fp.evaluate_open_world_per_class(&heldout, &unmonitored, &radii);
+    let report = fp.evaluate_open_world(&heldout, &unmonitored, &radii);
     let accepted: usize = heldout
         .seqs()
         .iter()
-        .filter(|t| fp.fingerprint_open_world_per_class(t, &radii).is_some())
+        .filter(|t| fp.fingerprint_open_world(t, &radii).is_some())
         .count();
     assert_eq!(report.counts.true_positives, accepted);
 

@@ -2,20 +2,21 @@
 //!
 //! The contract this file holds, on every testkit site profile:
 //!
-//! - `shards = 1` (the default) is **bit-identical** to the classic
-//!   unsharded reference scan — same score bits, same ranking — so
-//!   four PRs of serving history carry over unchanged.
-//! - `shards = 4` serves the **same decisions** as `shards = 1`:
-//!   identical fingerprints, identical open-world accepts/rejects,
-//!   identical score bits (the same distances exist; only the merge
-//!   order differs).
+//! - `shards = 1` (the default) serves the same decisions as an
+//!   exhaustive flat scan of the reference set in dataset order — same
+//!   score bits, same ranking and votes.
+//! - Every shard count takes the same fan-out and merge, so shards
+//!   {1, 4, 0 (auto)} serve **identical decisions**: identical ranked
+//!   labels and votes, identical open-world accepts/rejects, identical
+//!   score bits (the same distances exist at every layout).
 //! - Churn that cycles add/update/remove through **every** shard keeps
 //!   recall@1 ≥ 0.95 at default per-shard IVF probes, and the sharded
 //!   deployment survives serialization and thread-count changes.
 
-use tlsfp::core::knn::KnnClassifier;
+use tlsfp::core::knn::rank_search;
 use tlsfp::core::pipeline::AdaptiveFingerprinter;
-use tlsfp::core::{IndexConfig, ReferenceSet};
+use tlsfp::core::IndexConfig;
+use tlsfp::index::{FlatIndex, Metric, Rows, VectorIndex};
 use tlsfp::nn::seq::SeqInput;
 use tlsfp::trace::dataset::Dataset;
 use tlsfp_testkit::{open_world_profile_dataset, tiny_adversary, tiny_split, Profile, SEED};
@@ -34,18 +35,19 @@ fn single_shard_is_bit_identical_to_classic_reference_scan_on_all_profiles() {
         fp.set_reference(&reference).unwrap();
         assert_eq!(fp.n_shards(), 1, "{}: default is one shard", profile.name());
 
-        // The historical serving path: a flat ReferenceSet over the
-        // same embeddings in dataset order, scanned exhaustively.
-        let mut classic = ReferenceSet::new(fp.reference().dim(), reference.n_classes());
-        let embeddings = fp.embed_all(reference.seqs());
-        classic
-            .add_all(reference.labels(), embeddings)
-            .expect("classic reference builds");
-        let knn = KnnClassifier::new(fp.k());
+        // The exact oracle: a flat index over the same embeddings in
+        // dataset order, scanned exhaustively.
+        let dim = fp.reference().dim();
+        let embeddings: Vec<f32> = fp.embed_all(reference.seqs()).concat();
+        let classic = FlatIndex::from_rows(
+            Metric::Euclidean,
+            Rows::new(dim, &embeddings),
+            reference.labels(),
+        );
 
         for trace in test.seqs() {
             let emb = fp.embedder().embed(trace);
-            let oracle = knn.classify_with_score(&emb, &classic);
+            let oracle = rank_search(classic.search(&emb, fp.k()));
             let served = fp.fingerprint_with_score(trace);
             assert_eq!(
                 oracle.score.to_bits(),
@@ -70,52 +72,50 @@ fn four_shards_serve_identical_decisions_to_one_on_all_profiles() {
         let (reference, test) = profile_split(profile);
         let mut fp1 = adversary.clone();
         fp1.set_reference(&reference).unwrap();
-        let mut fp4 = adversary.clone();
-        fp4.set_shards(4);
-        fp4.set_reference(&reference).unwrap();
-        assert_eq!(fp4.n_shards(), 4, "{}", profile.name());
-        assert_eq!(fp4.reference().len(), fp1.reference().len());
-
         let threshold = fp1
             .calibrate_rejection_threshold(&test, 90.0)
             .expect("non-empty calibration set");
-
-        for trace in test.seqs() {
-            let s1 = fp1.fingerprint_with_score(trace);
-            let s4 = fp4.fingerprint_with_score(trace);
-            // Same distances exist in both layouts: score bits match.
-            assert_eq!(
-                s1.score.to_bits(),
-                s4.score.to_bits(),
-                "{}: outlier score diverged across shard counts",
-                profile.name()
-            );
-            // Same fingerprint decision, vote for vote.
-            assert_eq!(
-                s1.prediction,
-                s4.prediction,
-                "{}: fingerprint diverged across shard counts",
-                profile.name()
-            );
-            // Same open-world decision at the calibrated threshold.
-            assert_eq!(
-                fp1.fingerprint_open_world(trace, threshold),
-                fp4.fingerprint_open_world(trace, threshold),
-                "{}: open-world decision diverged across shard counts",
-                profile.name()
-            );
-        }
-
-        // Whole-report agreement, through the batch paths.
         let r1 = fp1.evaluate(&test);
-        let r4 = fp4.evaluate(&test);
-        for n in 1..=test.n_classes() {
-            assert_eq!(
-                r1.top_n_accuracy(n),
-                r4.top_n_accuracy(n),
-                "{}: top-{n} accuracy diverged",
-                profile.name()
-            );
+
+        for shards in [4usize, 0] {
+            let mut fp_s = adversary.clone();
+            fp_s.set_shards(shards);
+            fp_s.set_reference(&reference).unwrap();
+            assert!(fp_s.n_shards() > 1, "{}", profile.name());
+            assert_eq!(fp_s.reference().len(), fp1.reference().len());
+            let at = format!("{} shards={shards}", profile.name());
+
+            for trace in test.seqs() {
+                let s1 = fp1.fingerprint_with_score(trace);
+                let ss = fp_s.fingerprint_with_score(trace);
+                // Same distances exist in both layouts: score bits match.
+                assert_eq!(
+                    s1.score.to_bits(),
+                    ss.score.to_bits(),
+                    "{at}: outlier score diverged across shard counts"
+                );
+                // Same fingerprint decision: ranked labels and votes.
+                assert_eq!(
+                    s1.prediction, ss.prediction,
+                    "{at}: fingerprint diverged across shard counts"
+                );
+                // Same open-world decision at the calibrated threshold.
+                assert_eq!(
+                    fp1.fingerprint_open_world(trace, &threshold),
+                    fp_s.fingerprint_open_world(trace, &threshold),
+                    "{at}: open-world decision diverged across shard counts"
+                );
+            }
+
+            // Whole-report agreement, through the batch paths.
+            let rs = fp_s.evaluate(&test);
+            for n in 1..=test.n_classes() {
+                assert_eq!(
+                    r1.top_n_accuracy(n),
+                    rs.top_n_accuracy(n),
+                    "{at}: top-{n} accuracy diverged"
+                );
+            }
         }
     }
 }
@@ -196,8 +196,12 @@ fn churn_across_all_shards_keeps_recall_with_per_shard_ivf() {
     let queries = fp.embed_all(test.seqs());
     let mut hits = 0usize;
     for q in &queries {
-        let truth = exact.index().search(q, 1).top().expect("non-empty store");
-        let got = fp.index().search(q, 1).top().expect("non-empty store");
+        let truth = exact
+            .reference()
+            .search(q, 1)
+            .top()
+            .expect("non-empty store");
+        let got = fp.reference().search(q, 1).top().expect("non-empty store");
         if got.dist.to_bits() == truth.dist.to_bits() {
             hits += 1;
         }

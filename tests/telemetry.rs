@@ -4,8 +4,10 @@
 //! gauges/counters themselves track store state and churn faithfully.
 //!
 //! The enabled flag and the registry are process-wide, so every test
-//! here serializes on one mutex and restores recording on exit (other
-//! test binaries never toggle the flag).
+//! here serializes on one mutex — fixtures included, since building one
+//! serves queries that would land in another test's counters — and
+//! restores recording on exit (other test binaries never toggle the
+//! flag).
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -57,8 +59,7 @@ fn clustered(classes: usize, per_class: usize, dim: usize) -> (Vec<f32>, Vec<usi
 /// off, at query workers 1, 4 and 0 (auto).
 #[test]
 fn decisions_and_scores_bit_identical_with_telemetry_on_and_off() {
-    // Build fixtures before taking the flag lock: provisioning applies
-    // the config's own (enabled) telemetry knob.
+    let _guard = FlagGuard::acquire();
     let adversary = tlsfp_testkit::tiny_adversary();
     let profiles = tlsfp_testkit::Profile::ALL;
     let ds = tlsfp_testkit::open_world_profile_dataset(profiles[0]);
@@ -72,7 +73,6 @@ fn decisions_and_scores_bit_identical_with_telemetry_on_and_off() {
     fp.set_reference(&reference)
         .expect("profile reference fits");
 
-    let _guard = FlagGuard::acquire();
     let mut outcomes = Vec::new();
     for telemetry_on in [true, false] {
         tlsfp::telemetry::set_enabled(telemetry_on);
@@ -85,12 +85,15 @@ fn decisions_and_scores_bit_identical_with_telemetry_on_and_off() {
             let decisions = fp_w.fingerprint_all(&test);
             let scored = fp_w.fingerprint_with_score_all(&test);
             let score_bits: Vec<u32> = scored.iter().map(|sp| sp.score.to_bits()).collect();
-            let accepts: Vec<bool> = scored.iter().map(|sp| sp.accepted(threshold)).collect();
-            let report = fp_w.evaluate_open_world(&test, &unmonitored, threshold);
+            let accepts: Vec<bool> = scored
+                .iter()
+                .map(|sp| threshold.accepts(sp.score, sp.prediction.top(), 0.0))
+                .collect();
+            let report = fp_w.evaluate_open_world(&test, &unmonitored, &threshold);
             outcomes.push((
                 telemetry_on,
                 workers,
-                threshold.to_bits(),
+                threshold.fallback.to_bits(),
                 decisions,
                 score_bits,
                 accepts,
@@ -206,12 +209,12 @@ fn shard_gauges_track_churn_and_export() {
     assert!(json.contains("tlsfp_shard_rows"));
 }
 
-/// The PR-8 gap, closed: the single-shard fast paths used to bypass
-/// the `backend="sharded"` query/eval counters entirely. Now every
-/// front door — trait `search`, `search_concurrent` and the batch
-/// fan-out — advances them by exactly the same amount on an S=1 store
-/// as on an S=4 store over the same rows (a flat backend scans every
-/// row either way, so the eval totals match too).
+/// Every front door — trait `search`, `search_concurrent` and the
+/// batch fan-out — takes the one fan-out and merge path at every shard
+/// count, so the `backend="sharded"` query/eval counters advance by
+/// exactly the same amount on an S=1 store as on an S=4 store over the
+/// same rows (a flat backend scans every row either way, so the eval
+/// totals match too).
 #[test]
 fn sharded_counters_agree_between_one_and_four_shards() {
     use tlsfp::index::VectorIndex;
@@ -278,7 +281,7 @@ fn sharded_counters_agree_between_one_and_four_shards() {
 
 /// Streaming fixtures for the telemetry on/off comparisons: the cached
 /// adversary, a calibrated early-stop policy, and two real captures.
-/// Built *before* taking the flag lock, like the batch-path fixture.
+/// Callers hold the flag lock while building it, like every fixture.
 fn streaming_fixture() -> (
     tlsfp::core::AdaptiveFingerprinter,
     tlsfp::core::EarlyStopPolicy,
@@ -311,9 +314,9 @@ fn streaming_fixture() -> (
 fn streaming_decisions_bit_identical_with_telemetry_on_and_off() {
     use tlsfp::trace::tensorize::TensorConfig;
 
+    let _guard = FlagGuard::acquire();
     let (fp, policy, captures) = streaming_fixture();
 
-    let _guard = FlagGuard::acquire();
     let mut outcomes = Vec::new();
     for telemetry_on in [true, false] {
         tlsfp::telemetry::set_enabled(telemetry_on);
@@ -366,6 +369,7 @@ fn streaming_decisions_bit_identical_with_telemetry_on_and_off() {
 fn streaming_metrics_record_only_when_enabled() {
     use tlsfp::trace::tensorize::TensorConfig;
 
+    let _guard = FlagGuard::acquire();
     let (fp, policy, captures) = streaming_fixture();
     let run = |fp: &tlsfp::core::AdaptiveFingerprinter, with_policy: bool| {
         for capture in &captures {
@@ -376,7 +380,6 @@ fn streaming_metrics_record_only_when_enabled() {
         }
     };
 
-    let _guard = FlagGuard::acquire();
     tlsfp::telemetry::set_enabled(true);
     tlsfp::telemetry::reset();
     run(&fp, true); // may latch (records time at the latch)
