@@ -8,6 +8,10 @@
 //!          fig_quant fig_concurrent fig_telemetry fig_batchscan
 //!          ablations all
 //! ```
+//!
+//! An unknown target, an unknown flag or a malformed `--seed`/`--json`
+//! prints the usage to stderr and exits with status 2, so a typo never
+//! passes for a run that produced nothing.
 
 use std::fs;
 use std::path::PathBuf;
@@ -21,31 +25,59 @@ use tlsfp_bench::experiments::{
     run_fig_quant, run_fig_shard, run_fig_telemetry, run_table3, Scale,
 };
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".into());
+/// Every target `repro` accepts; the usage message prints this list.
+const TARGETS: &str = "fig6 fig7 table2 fig8 fig9 fig10 fig11 fig12 fig13 table3 \
+                       fig_open_world fig_early fig_index fig_embed fig_shard fig_quant \
+                       fig_concurrent fig_telemetry fig_batchscan ablations all";
 
-    let mut scale = if args.iter().any(|a| a == "--full") {
+/// The parsed command line: one known target (default `all`), the
+/// scale (`--full` wins over `--smoke`), an optional seed override and
+/// an optional JSON output directory.
+fn parse_args(args: &[String]) -> Result<(String, Scale, Option<PathBuf>), String> {
+    let mut target = None;
+    let (mut full, mut smoke) = (false, false);
+    let mut seed = None;
+    let mut json_dir = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--full" => full = true,
+            "--smoke" => smoke = true,
+            "--seed" => {
+                let value = it.next().and_then(|s| s.parse().ok());
+                seed = Some(value.ok_or("--seed needs an unsigned integer")?);
+            }
+            "--json" => {
+                json_dir = Some(PathBuf::from(it.next().ok_or("--json needs a directory")?))
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            name if target.is_none() && TARGETS.split_whitespace().any(|t| t == name) => {
+                target = Some(name.to_string())
+            }
+            other => return Err(format!("unknown target or extra argument `{other}`")),
+        }
+    }
+    let mut scale = if full {
         Scale::full()
-    } else if args.iter().any(|a| a == "--smoke") {
+    } else if smoke {
         Scale::smoke()
     } else {
         Scale::default_scale()
     };
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        if let Some(seed) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            scale.seed = seed;
-        }
+    if let Some(seed) = seed {
+        scale.seed = seed;
     }
-    let json_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|pos| args.get(pos + 1))
-        .map(PathBuf::from);
+    Ok((target.unwrap_or_else(|| "all".into()), scale, json_dir))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (target, scale, json_dir) = parse_args(&args).unwrap_or_else(|err| {
+        eprintln!("repro: {err}");
+        eprintln!("usage: repro <target> [--smoke|--full] [--seed N] [--json DIR]");
+        eprintln!("targets: {TARGETS}");
+        std::process::exit(2);
+    });
     if let Some(dir) = &json_dir {
         fs::create_dir_all(dir).expect("create json output dir");
     }

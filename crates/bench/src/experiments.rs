@@ -1274,7 +1274,7 @@ fn synthetic_store_corpus(
 /// throughput, distance evaluations and recall@1.
 pub fn run_shard_point(n_classes: usize, threads: usize, seed: u64) -> ShardScalePoint {
     use tlsfp_index::sharded::ShardedStore;
-    use tlsfp_index::{IndexConfig, Metric, Rows, VectorIndex};
+    use tlsfp_index::{IndexConfig, Metric, Rows};
     let dim = FIG_SHARD_DIM;
     let per_class = FIG_SHARD_REFS_PER_CLASS;
     let n_queries = n_classes.min(FIG_SHARD_MAX_QUERIES);
@@ -1305,10 +1305,10 @@ pub fn run_shard_point(n_classes: usize, threads: usize, seed: u64) -> ShardScal
 
     let time_batch = |store: &ShardedStore| -> (f64, Vec<tlsfp_index::SearchResult>) {
         let mut best = f64::INFINITY;
-        let mut results = store.search_batch(&queries, FIG_SHARD_K, threads);
+        let mut results = store.search_batch_concurrent(&queries, FIG_SHARD_K, threads);
         for _ in 0..2 {
             let t = std::time::Instant::now();
-            results = store.search_batch(&queries, FIG_SHARD_K, threads);
+            results = store.search_batch_concurrent(&queries, FIG_SHARD_K, threads);
             best = best.min(t.elapsed().as_secs_f64());
         }
         (best, results)
@@ -1445,7 +1445,7 @@ pub struct FigQuantResult {
 pub fn run_quant_point(n_classes: usize, threads: usize, seed: u64) -> QuantScalePoint {
     use tlsfp_index::pq::PqParams;
     use tlsfp_index::sharded::ShardedStore;
-    use tlsfp_index::{IndexConfig, Metric, Rows, VectorIndex};
+    use tlsfp_index::{IndexConfig, Metric, Rows};
     let dim = FIG_SHARD_DIM;
     let per_class = FIG_SHARD_REFS_PER_CLASS;
     let n_queries = n_classes.min(FIG_SHARD_MAX_QUERIES);
@@ -1477,10 +1477,10 @@ pub fn run_quant_point(n_classes: usize, threads: usize, seed: u64) -> QuantScal
 
     let time_batch = |store: &ShardedStore| -> (f64, Vec<tlsfp_index::SearchResult>) {
         let mut best = f64::INFINITY;
-        let mut results = store.search_batch(&queries, FIG_SHARD_K, threads);
+        let mut results = store.search_batch_concurrent(&queries, FIG_SHARD_K, threads);
         for _ in 0..2 {
             let t = std::time::Instant::now();
-            results = store.search_batch(&queries, FIG_SHARD_K, threads);
+            results = store.search_batch_concurrent(&queries, FIG_SHARD_K, threads);
             best = best.min(t.elapsed().as_secs_f64());
         }
         (best, results)
@@ -1960,7 +1960,7 @@ pub fn run_batchscan_backend(
     seed: u64,
 ) -> Vec<BatchScanPoint> {
     use tlsfp_index::sharded::ShardedStore;
-    use tlsfp_index::{Metric, Rows, SearchResult, VectorIndex};
+    use tlsfp_index::{Metric, Rows, SearchResult};
     let dim = FIG_SHARD_DIM;
     let per_class = FIG_SHARD_REFS_PER_CLASS;
     let n_queries = n_classes.min(FIG_SHARD_MAX_QUERIES);
@@ -1988,7 +1988,7 @@ pub fn run_batchscan_backend(
 
     let serial: Vec<SearchResult> = queries
         .iter()
-        .map(|q| store.search(q, FIG_SHARD_K))
+        .map(|q| store.search_concurrent(q, FIG_SHARD_K, 1))
         .collect();
     let serial_top: Vec<Option<usize>> = serial
         .iter()
@@ -1996,7 +1996,7 @@ pub fn run_batchscan_backend(
         .collect();
     let serial_secs = best_of(&mut || {
         for q in &queries {
-            std::hint::black_box(store.search(q, FIG_SHARD_K).neighbors.len());
+            std::hint::black_box(store.search_concurrent(q, FIG_SHARD_K, 1).neighbors.len());
         }
     });
     let nq = queries.len().max(1) as f64;

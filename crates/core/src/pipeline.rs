@@ -151,9 +151,9 @@ pub struct TrainingLog {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdaptiveFingerprinter {
     embedder: SequenceEmbedder,
-    /// The sharded reference store: per-shard contiguous embeddings
-    /// plus per-shard serving indexes, kept in sync by every mutation.
-    /// All classify/fingerprint paths route through it.
+    /// The sharded reference store: one serving index per shard, which
+    /// holds that shard's embeddings and is the only copy of them. All
+    /// classify/fingerprint paths route through it.
     store: ShardedStore,
     knn: KnnClassifier,
     threads: usize,
@@ -161,8 +161,6 @@ pub struct AdaptiveFingerprinter {
     /// paths (`0` = auto). Never changes a decision.
     query_workers: usize,
     log: TrainingLog,
-    /// The per-shard index backend (mirrors `PipelineConfig::index`).
-    index_config: IndexConfig,
     /// The shard-count knob (`0` = auto), re-resolved against the
     /// class count whenever the reference store is rebuilt.
     shards: usize,
@@ -211,7 +209,6 @@ impl AdaptiveFingerprinter {
             threads: config.threads,
             query_workers: config.query_workers,
             log,
-            index_config: config.index,
             shards: config.shards,
         };
         fp.set_reference(train)?;
@@ -234,7 +231,6 @@ impl AdaptiveFingerprinter {
                 epoch_losses: Vec::new(),
                 train_seconds: 0.0,
             },
-            index_config: IndexConfig::Flat,
             shards: 1,
         }
     }
@@ -251,7 +247,7 @@ impl AdaptiveFingerprinter {
 
     /// The configured per-shard index backend.
     pub fn index_config(&self) -> IndexConfig {
-        self.index_config
+        self.store.index_config()
     }
 
     /// The resolved shard count the store is serving with.
@@ -267,7 +263,6 @@ impl AdaptiveFingerprinter {
     /// [`AdaptiveFingerprinter::add_class`] calls mutate them in
     /// place).
     pub fn set_index(&mut self, config: IndexConfig) {
-        self.index_config = config;
         self.store.set_index(config);
     }
 
@@ -338,7 +333,7 @@ impl AdaptiveFingerprinter {
         let mut store = ShardedStore::new(
             self.embedder.output_size(),
             self.knn.metric,
-            &self.index_config,
+            &self.store.index_config(),
             data.n_classes(),
             self.shards,
         );
@@ -371,7 +366,7 @@ impl AdaptiveFingerprinter {
 
     /// Adaptation (§IV-C): replaces one class's reference points with
     /// embeddings of freshly-crawled traces. No retraining happens,
-    /// and only the owning shard's storage and index are touched.
+    /// and only the owning shard's index is touched.
     ///
     /// # Errors
     ///

@@ -21,7 +21,7 @@ use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{IndexSnapshot, Metric, Neighbor, Rows, SearchResult, VectorIndex};
+use crate::{Metric, Neighbor, Rows, SearchResult, VectorIndex};
 
 /// Rows scanned per block: 64 rows × 32 dims × 4 bytes = 8 KiB per
 /// block, comfortably inside L1 alongside the query.
@@ -214,12 +214,8 @@ impl VectorIndex for FlatIndex {
         crate::compact_remove_label(self.dim, label, &mut self.labels, &mut self.data, None)
     }
 
-    fn snapshot(&self) -> IndexSnapshot {
-        IndexSnapshot::Flat(self.clone())
-    }
-
-    fn boxed_clone(&self) -> Box<dyn VectorIndex> {
-        Box::new(self.clone())
+    fn export(&self) -> (Vec<usize>, Vec<f32>) {
+        (self.labels.clone(), self.data.clone())
     }
 }
 

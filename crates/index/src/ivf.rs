@@ -22,7 +22,7 @@ use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{IndexSnapshot, Metric, Neighbor, Rows, SearchResult, SelectEntry, VectorIndex};
+use crate::{Metric, Neighbor, Rows, SearchResult, SelectEntry, VectorIndex};
 
 /// Lloyd iterations the coarse quantizer runs at build time.
 pub const KMEANS_ITERS: usize = 10;
@@ -563,16 +563,29 @@ impl VectorIndex for IvfIndex {
             .sum()
     }
 
-    fn list_balance(&self) -> Option<BalanceStats> {
-        Some(self.balance_stats())
-    }
-
-    fn snapshot(&self) -> IndexSnapshot {
-        IndexSnapshot::Ivf(self.clone())
-    }
-
-    fn boxed_clone(&self) -> Box<dyn VectorIndex> {
-        Box::new(self.clone())
+    /// Gathers the lists by id: ids are assigned in insertion order
+    /// and survive compaction, so sorting every row by id restores the
+    /// insertion order.
+    fn export(&self) -> (Vec<usize>, Vec<f32>) {
+        let mut order: Vec<(u64, &IvfList, usize)> = self
+            .lists
+            .iter()
+            .flat_map(|list| {
+                list.ids
+                    .iter()
+                    .enumerate()
+                    .map(move |(j, &id)| (id, list, j))
+            })
+            .collect();
+        order.sort_unstable_by_key(|&(id, _, _)| id);
+        let dim = self.dim;
+        let labels = order.iter().map(|&(_, list, j)| list.labels[j]).collect();
+        let data = order
+            .iter()
+            .flat_map(|&(_, list, j)| &list.data[j * dim..(j + 1) * dim])
+            .copied()
+            .collect();
+        (labels, data)
     }
 }
 

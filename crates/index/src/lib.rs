@@ -2,9 +2,10 @@
 //!
 //! The paper's classifier answers every query with a k-nearest-neighbor
 //! search over the reference set (k = 250 over ~10⁵ embeddings). This
-//! crate owns that search: a [`VectorIndex`] trait with two single-store
-//! backends, selected per deployment by [`IndexConfig`], and a
-//! class-sharded store that composes them for the large-class regime.
+//! crate owns that search: a [`VectorIndex`] trait with three
+//! single-store backends, closed in the [`ServingIndex`] enum and
+//! selected per deployment by [`IndexConfig`], and a class-sharded
+//! store that composes them for the large-class regime.
 //!
 //! - [`FlatIndex`] — the exact scan, over contiguous row-major storage
 //!   with a cache-friendly chunked distance kernel. Results are
@@ -22,18 +23,19 @@
 //!   full-precision rows. An order-of-magnitude less scan memory — the
 //!   10⁵-class regime's backend; exact when `rerank >= len()`.
 //! - [`ShardedStore`] ([`sharded`]) — partitions *classes* across `S`
-//!   shards, each owning contiguous rows and its own backend;
-//!   provisioning peaks at one shard's embeddings, mutations touch one
-//!   shard, and every query — at every `S`, one included — fans out
-//!   and merges into `(dist, id)` order deterministically.
+//!   shards, each one [`ServingIndex`] backend that holds its rows
+//!   once; provisioning peaks at one shard's embeddings, mutations
+//!   touch one shard, and every query — at every `S`, one included —
+//!   fans out and merges into `(dist, id)` order deterministically.
 //!
 //! Every backend is **mutable** — [`VectorIndex::add`],
 //! [`VectorIndex::remove_label`] and [`VectorIndex::swap_label`]
 //! reassign vectors to lists incrementally without a rebuild — because
 //! the paper's whole design is that adapting to webpage drift is a
 //! reference-set swap, and the index must keep up without re-clustering.
-//! All serialize through [`IndexSnapshot`], so a provisioned deployment
-//! round-trips to JSON with its index intact.
+//! The closed [`ServingIndex`] enum serializes whichever backend it
+//! holds, so a provisioned deployment round-trips to JSON with its
+//! index intact.
 //!
 //! Every [`SearchResult`] carries the number of distance evaluations it
 //! cost, so callers can measure candidate pruning directly (the
@@ -227,12 +229,9 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
     /// the cache-blocked kernel unit (see [`kernels`]). Runs on the
     /// calling thread; [`VectorIndex::search_batch`] shards blocks
     /// across workers. Each query's result must be
-    /// **bit-identical** to [`VectorIndex::search`] — the default is
-    /// the per-query loop itself; backends override it with a blocked
-    /// scan that preserves per-(query, row) accumulation order.
-    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
-        queries.iter().map(|q| self.search(q, k)).collect()
-    }
+    /// **bit-identical** to [`VectorIndex::search`]: a blocked scan
+    /// that preserves per-(query, row) accumulation order.
+    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult>;
 
     /// Query-blocked batch search: splits `queries` into contiguous
     /// blocks of [`kernels::auto_query_block`] queries, fans the blocks
@@ -280,20 +279,12 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
         removed
     }
 
-    /// Inverted-list occupancy stats, for backends that shard their
-    /// own storage internally ([`IvfIndex`] reports its
-    /// [`IvfIndex::balance_stats`]; list-free backends return `None`).
-    /// [`ShardedStore::balance_stats`](sharded::ShardedStore::balance_stats)
-    /// aggregates these across shards.
-    fn list_balance(&self) -> Option<ivf::BalanceStats> {
-        None
-    }
-
-    /// A serializable snapshot of the whole index.
-    fn snapshot(&self) -> IndexSnapshot;
-
-    /// Clones the index behind a fresh box.
-    fn boxed_clone(&self) -> Box<dyn VectorIndex>;
+    /// Every stored vector as `(labels, row_data)` in insertion (id)
+    /// order, `row_data` row-major — the rows a rebuild on another
+    /// backend starts from. Survivors of `remove_label` keep their
+    /// relative order and `add` appends, so the export is the same for
+    /// every backend that saw the same build and mutation sequence.
+    fn export(&self) -> (Vec<usize>, Vec<f32>);
 }
 
 /// Which backend a deployment should serve from.
@@ -334,117 +325,73 @@ impl IndexConfig {
     /// assert_eq!(flat.search(&[0.1, 0.1], 1).top().unwrap().label, 0);
     /// assert_eq!(ivf.search(&[4.9, 5.0], 1).top().unwrap().label, 1);
     /// ```
-    pub fn build(&self, metric: Metric, rows: Rows<'_>, labels: &[usize]) -> Box<dyn VectorIndex> {
+    pub fn build(&self, metric: Metric, rows: Rows<'_>, labels: &[usize]) -> ServingIndex {
         assert_eq!(rows.len(), labels.len(), "one label per row");
         match self {
-            IndexConfig::Flat => Box::new(FlatIndex::from_rows(metric, rows, labels)),
-            IndexConfig::Ivf(params) => Box::new(IvfIndex::build(*params, metric, rows, labels)),
-            IndexConfig::Pq(params) => Box::new(PqIndex::build(*params, metric, rows, labels)),
+            IndexConfig::Flat => ServingIndex::Flat(FlatIndex::from_rows(metric, rows, labels)),
+            IndexConfig::Ivf(params) => {
+                ServingIndex::Ivf(IvfIndex::build(*params, metric, rows, labels))
+            }
+            IndexConfig::Pq(params) => {
+                ServingIndex::Pq(PqIndex::build(*params, metric, rows, labels))
+            }
         }
     }
 }
 
-/// A serializable snapshot of any [`VectorIndex`] backend — the bridge
-/// between trait objects and the serde shim.
+/// One backend, owned — what each [`ShardedStore`] shard is, so a
+/// deployment can switch backends by configuration. Derefs to
+/// [`VectorIndex`]; clones, compares and serializes as the backend it
+/// holds (`{"Flat": {...}}`, `{"Ivf": {...}}` or `{"Pq": {...}}`).
+///
+/// ```
+/// use tlsfp_index::{IndexConfig, Metric, Rows, ServingIndex};
+/// let data = [1.0f32, 2.0];
+/// let ix = IndexConfig::Flat.build(Metric::Euclidean, Rows::new(1, &data), &[0, 1]);
+/// // Deref to the trait, clone, and serde round-trip all work.
+/// assert_eq!(ix.len(), 2);
+/// let json = serde_json::to_string(&ix).unwrap();
+/// let back: ServingIndex = serde_json::from_str(&json).unwrap();
+/// assert_eq!(back, ix);
+/// assert_eq!(back.search(&[1.9], 1), ix.search(&[1.9], 1));
+/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum IndexSnapshot {
+pub enum ServingIndex {
     /// A flat exact index.
     Flat(FlatIndex),
     /// An IVF index.
     Ivf(IvfIndex),
     /// A product-quantized index.
     Pq(PqIndex),
-    /// A class-sharded store (per-shard flat, IVF or PQ backends).
-    Sharded(sharded::ShardedStore),
-}
-
-impl IndexSnapshot {
-    /// Rehydrates the snapshot behind the trait.
-    pub fn into_boxed(self) -> Box<dyn VectorIndex> {
-        match self {
-            IndexSnapshot::Flat(ix) => Box::new(ix),
-            IndexSnapshot::Ivf(ix) => Box::new(ix),
-            IndexSnapshot::Pq(ix) => Box::new(ix),
-            IndexSnapshot::Sharded(ix) => Box::new(ix),
-        }
-    }
-}
-
-/// An owned, clonable, serializable boxed [`VectorIndex`] — what a
-/// deployment (and each [`ShardedStore`] shard) embeds so its serving
-/// path can switch backends by configuration.
-///
-/// ```
-/// use tlsfp_index::{IndexConfig, Metric, Rows, ServingIndex};
-/// let data = [1.0f32, 2.0];
-/// let ix = ServingIndex::build(&IndexConfig::Flat, Metric::Euclidean, Rows::new(1, &data), &[0, 1]);
-/// // Deref to the trait, clone, and serde round-trip all work.
-/// assert_eq!(ix.len(), 2);
-/// let json = serde_json::to_string(&ix).unwrap();
-/// let back: ServingIndex = serde_json::from_str(&json).unwrap();
-/// assert_eq!(back.search(&[1.9], 1), ix.search(&[1.9], 1));
-/// ```
-pub struct ServingIndex(Box<dyn VectorIndex>);
-
-impl ServingIndex {
-    /// Builds the backend `config` selects from labeled rows.
-    pub fn build(config: &IndexConfig, metric: Metric, rows: Rows<'_>, labels: &[usize]) -> Self {
-        ServingIndex(config.build(metric, rows, labels))
-    }
-
-    /// Wraps an existing backend.
-    pub fn from_boxed(inner: Box<dyn VectorIndex>) -> Self {
-        ServingIndex(inner)
-    }
-
-    /// The backend as a trait object.
-    pub fn as_dyn(&self) -> &dyn VectorIndex {
-        self.0.as_ref()
-    }
-
-    /// The backend as a mutable trait object.
-    pub fn as_dyn_mut(&mut self) -> &mut dyn VectorIndex {
-        self.0.as_mut()
-    }
 }
 
 impl std::ops::Deref for ServingIndex {
     type Target = dyn VectorIndex;
 
     fn deref(&self) -> &Self::Target {
-        self.0.as_ref()
+        match self {
+            ServingIndex::Flat(ix) => ix,
+            ServingIndex::Ivf(ix) => ix,
+            ServingIndex::Pq(ix) => ix,
+        }
     }
 }
 
-impl std::fmt::Debug for ServingIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl Clone for ServingIndex {
-    fn clone(&self) -> Self {
-        ServingIndex(self.0.boxed_clone())
-    }
-}
-
-impl Serialize for ServingIndex {
-    fn to_value(&self) -> serde::json::Value {
-        self.0.snapshot().to_value()
-    }
-}
-
-impl Deserialize for ServingIndex {
-    fn from_value(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        Ok(ServingIndex(IndexSnapshot::from_value(v)?.into_boxed()))
+impl std::ops::DerefMut for ServingIndex {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            ServingIndex::Flat(ix) => ix,
+            ServingIndex::Ivf(ix) => ix,
+            ServingIndex::Pq(ix) => ix,
+        }
     }
 }
 
 /// Removes every row carrying `label` from parallel row-major storage,
 /// compacting in place and preserving survivor order; `ids`, when
 /// present, is compacted in lockstep. Returns how many rows were
-/// dropped. This is the one remove-and-compact loop the reference
-/// store and every backend share.
+/// dropped. This is the one remove-and-compact loop the flat and IVF
+/// backends share.
 ///
 /// ```
 /// use tlsfp_index::compact_remove_label;

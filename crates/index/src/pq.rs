@@ -5,9 +5,10 @@
 //! The embedding is split into [`PqIndex::m`] contiguous sub-vectors;
 //! each sub-space gets its own codebook of up to [`KSUB_MAX`] centroids
 //! trained with the same deterministic k-means as the IVF coarse
-//! quantizer ([`crate::ivf`]). A stored vector is then just `m` one-byte
-//! centroid codes — 8 bytes instead of 128 at the default 32-dim
-//! embedding — which is what lets 10⁵+ classes fit in RAM per node.
+//! quantizer ([`crate::ivf`]). A stored vector is then scanned as just
+//! `m` one-byte centroid codes — 8 bytes instead of 128 at the default
+//! 32-dim embedding — which keeps the scan working set small at 10⁵+
+//! classes.
 //!
 //! Queries use **asymmetric distance computation** (ADC): the query
 //! stays full-precision, and a per-query lookup table of
@@ -24,6 +25,9 @@
 //! and the lookup table, and the re-rank reads `rerank` rows. Memory
 //! *bandwidth* during the scan therefore drops by the same factor as
 //! the code compression (`dim × 4` bytes → `m` bytes per vector).
+//! Resident memory does not: each vector keeps its `dim × 4`-byte row
+//! beside its `m` codes, and those rows are also what
+//! [`VectorIndex::export`] hands a rebuild.
 //!
 //! Codebooks are always trained and scanned under squared Euclidean
 //! distance — the one metric that decomposes over sub-spaces — while
@@ -44,7 +48,7 @@ use serde::{Deserialize, Serialize};
 
 use tlsfp_nn::tensor::euclidean_sq;
 
-use crate::{IndexSnapshot, Metric, Neighbor, Rows, SearchResult, SelectEntry, VectorIndex};
+use crate::{Metric, Neighbor, Rows, SearchResult, SelectEntry, VectorIndex};
 
 /// Maximum centroids per sub-quantizer — one `u8` code per sub-space.
 /// The effective count is `min(KSUB_MAX, n)` at build time.
@@ -526,12 +530,8 @@ impl VectorIndex for PqIndex {
         removed
     }
 
-    fn snapshot(&self) -> IndexSnapshot {
-        IndexSnapshot::Pq(self.clone())
-    }
-
-    fn boxed_clone(&self) -> Box<dyn VectorIndex> {
-        Box::new(self.clone())
+    fn export(&self) -> (Vec<usize>, Vec<f32>) {
+        (self.labels.clone(), self.data.clone())
     }
 }
 
@@ -710,13 +710,13 @@ mod tests {
         let json = serde_json::to_string(&a).unwrap();
         let back: PqIndex = serde_json::from_str(&json).unwrap();
         assert_eq!(back, a);
-        // And through the snapshot enum, as the sharded store stores it.
-        let snap_json = serde_json::to_string(&a.snapshot()).unwrap();
-        let snap: IndexSnapshot = serde_json::from_str(&snap_json).unwrap();
-        assert_eq!(snap, a.snapshot());
-        let boxed = snap.into_boxed();
+        // And through the backend enum, as the sharded store stores it.
+        let wrapped = crate::ServingIndex::Pq(a.clone());
+        let back: crate::ServingIndex =
+            serde_json::from_str(&serde_json::to_string(&wrapped).unwrap()).unwrap();
+        assert_eq!(back, wrapped);
         let q = vec![0.0f32; dim];
-        assert_eq!(boxed.search(&q, 3), a.search(&q, 3));
+        assert_eq!(back.search(&q, 3), a.search(&q, 3));
     }
 
     #[test]

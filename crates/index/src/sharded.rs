@@ -14,13 +14,14 @@
 //! - **Routing is deterministic and stateless**: class `c` lives on
 //!   shard [`shard_of`]`(c, S) = c % S`, so a label alone names its
 //!   shard — no directory, no rebalancing state to serialize.
-//! - **Each shard owns its data, behind its own lock**: a contiguous
-//!   row-major buffer (the canonical reference rows, in insertion
-//!   order) plus its own [`ServingIndex`](crate::ServingIndex)
-//!   ([`IndexConfig::Flat`] or [`IndexConfig::Ivf`] per shard), all
-//!   wrapped in one `RwLock`. Because `class % S` routing means no
-//!   mutation ever crosses a shard, the locks never need to be held
-//!   together — see the concurrency model below.
+//! - **Each shard is one backend, behind its own lock**: a
+//!   [`ServingIndex`] ([`IndexConfig::Flat`], [`IndexConfig::Ivf`] or
+//!   [`IndexConfig::Pq`] per shard) that holds the shard's rows once,
+//!   wrapped in one `RwLock`. Rebuilds start from the backend's own
+//!   insertion-order [`export`](crate::VectorIndex::export). Because
+//!   `class % S` routing means no mutation ever crosses a shard, the
+//!   locks never need to be held together — see the concurrency model
+//!   below.
 //! - **Provisioning is shard-bounded**: [`ShardedStore::load_shard`]
 //!   ingests one shard's embeddings at a time, so the embedding
 //!   scratch peaks at the largest shard, not the whole corpus.
@@ -59,7 +60,7 @@
 //!    hands each worker a *(shard, query-block)* pair: the worker
 //!    read-locks its shard once, runs one contiguous block of
 //!    [`crate::kernels::auto_query_block`] queries against it through
-//!    the blocked scan kernel ([`VectorIndex::search_block`]), and
+//!    the blocked scan kernel ([`crate::VectorIndex::search_block`]), and
 //!    releases. One query's scan is never split across threads, so no
 //!    floating-point reduction ever changes order — blocking only
 //!    decides *which* queries share a worker's row loads.
@@ -69,10 +70,9 @@
 //!    list, the `nearest` fold and the eval counter are bit-identical
 //!    to the sequential pass at every worker count.
 //!
-//! The store implements [`VectorIndex`], so the whole serving path
-//! (`tlsfp-core`'s classify/fingerprint/open-world calls) runs through
-//! it unchanged — [`VectorIndex::search_batch`] routes to the
-//! concurrent shard-major fan-out automatically.
+//! `tlsfp-core` serves every query through
+//! [`ShardedStore::search_concurrent`] and
+//! [`ShardedStore::search_batch_concurrent`].
 
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -83,7 +83,7 @@ use tlsfp_nn::parallel::map_elems;
 use tlsfp_telemetry::Gauge;
 
 use crate::ivf::BalanceStats;
-use crate::{IndexConfig, IndexSnapshot, Metric, Neighbor, Rows, SearchResult, VectorIndex};
+use crate::{IndexConfig, Metric, Neighbor, Rows, SearchResult, ServingIndex};
 
 /// The shard that owns `class` under `n_shards`-way partitioning.
 ///
@@ -133,63 +133,14 @@ fn resolve_workers(requested: usize) -> usize {
     }
 }
 
-/// One shard: canonical contiguous rows + labels (insertion order) and
-/// the serving index built over them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct StoreShard {
-    labels: Vec<usize>,
-    data: Vec<f32>,
-    index: ServingIndexSlot,
-}
-
-/// Newtype so the shard's index participates in `PartialEq` (by
-/// snapshot) without widening `ServingIndex`'s public contract.
-#[derive(Debug, Clone)]
-struct ServingIndexSlot(crate::ServingIndex);
-
-impl PartialEq for ServingIndexSlot {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.snapshot() == other.0.snapshot()
-    }
-}
-
-impl Serialize for ServingIndexSlot {
-    fn to_value(&self) -> serde::json::Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for ServingIndexSlot {
-    fn from_value(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        Ok(ServingIndexSlot(crate::ServingIndex::from_value(v)?))
-    }
-}
-
-impl StoreShard {
-    fn empty(dim: usize, metric: Metric, config: &IndexConfig) -> Self {
-        StoreShard {
-            labels: Vec::new(),
-            data: Vec::new(),
-            index: ServingIndexSlot(crate::ServingIndex::build(
-                config,
-                metric,
-                Rows::new(dim, &[]),
-                &[],
-            )),
-        }
-    }
-
-    fn rows<'a>(&'a self, dim: usize) -> Rows<'a> {
-        Rows::new(dim, &self.data)
-    }
-
-    fn rebuild(&mut self, dim: usize, metric: Metric, config: &IndexConfig) {
-        self.index = ServingIndexSlot(crate::ServingIndex::build(
-            config,
-            metric,
-            Rows::new(dim, &self.data),
-            &self.labels,
-        ));
+/// Appends each labeled row to its shard's `(labels, row_data)` buffer
+/// under `class % parts.len()` routing, keeping input order per shard.
+fn route(parts: &mut [(Vec<usize>, Vec<f32>)], labels: &[usize], rows: Rows<'_>) {
+    let n_shards = parts.len();
+    for (row, &label) in rows.iter().zip(labels) {
+        let (l, d) = &mut parts[shard_of(label, n_shards)];
+        l.push(label);
+        d.extend_from_slice(row);
     }
 }
 
@@ -248,11 +199,11 @@ pub struct StoreBalance {
     pub ivf_lists: Option<BalanceStats>,
 }
 
-/// A class-sharded reference store: `S` shards, each holding its
-/// classes' embeddings contiguously behind its own `RwLock` and
-/// serving them through its own index backend. See the [module
-/// docs](crate::sharded) for the design and concurrency model, and
-/// [`VectorIndex`] for the query/mutation contract it serves through.
+/// A class-sharded reference store: `S` shards, each one index backend
+/// holding its classes' embeddings behind its own `RwLock`. See the
+/// [module docs](crate::sharded) for the design and concurrency model,
+/// and [`crate::VectorIndex`] for the per-shard query/mutation
+/// contract.
 ///
 /// Queries take per-shard *read* locks (many readers in parallel);
 /// single-shard mutations ([`ShardedStore::swap_class`],
@@ -262,7 +213,7 @@ pub struct StoreBalance {
 ///
 /// ```
 /// use tlsfp_index::sharded::ShardedStore;
-/// use tlsfp_index::{IndexConfig, Metric, Rows, VectorIndex};
+/// use tlsfp_index::{IndexConfig, Metric, Rows};
 ///
 /// // Four classes across two shards: even classes on shard 0, odd on 1.
 /// let store = ShardedStore::new(2, Metric::Euclidean, &IndexConfig::Flat, 4, 2);
@@ -272,13 +223,13 @@ pub struct StoreBalance {
 /// assert_eq!(store.shard_len(0), 2); // classes 0 and 2
 ///
 /// // Queries fan out across shards and merge deterministically.
-/// let top = store.search(&[1.1, 1.1], 2).top().unwrap();
-/// assert_eq!(top.label, 1);
+/// let one = store.search_concurrent(&[1.1, 1.1], 2, 1);
+/// assert_eq!(one.top().unwrap().label, 1);
 ///
 /// // The batch front door fans out shard-major across a worker pool;
 /// // the ordered-commit merge is bit-identical at every worker count.
 /// let batch = store.search_batch_concurrent(&[vec![1.1, 1.1]], 2, 4);
-/// assert_eq!(batch[0], store.search(&[1.1, 1.1], 2));
+/// assert_eq!(batch[0], one);
 ///
 /// // Mutations route to the owning shard only — through `&self`.
 /// store.swap_class(1, Rows::new(2, &[9.0, 9.0]));
@@ -291,7 +242,7 @@ pub struct ShardedStore {
     metric: Metric,
     config: IndexConfig,
     n_classes: AtomicUsize,
-    shards: Vec<RwLock<StoreShard>>,
+    shards: Vec<RwLock<ServingIndex>>,
     /// Gauge handles only — never serialized, never compared.
     telemetry: StoreTelemetry,
 }
@@ -347,7 +298,7 @@ impl Deserialize for ShardedStore {
         let pairs = v
             .as_object()
             .ok_or_else(|| serde::json::Error::custom("ShardedStore: expected object"))?;
-        let shards: Vec<StoreShard> = serde::json::field(pairs, "shards")?;
+        let shards: Vec<ServingIndex> = serde::json::field(pairs, "shards")?;
         let telemetry = StoreTelemetry::new(shards.len());
         Ok(ShardedStore {
             dim: serde::json::field(pairs, "dim")?,
@@ -382,7 +333,7 @@ impl ShardedStore {
             config: *config,
             n_classes: AtomicUsize::new(n_classes),
             shards: (0..n_shards)
-                .map(|_| RwLock::new(StoreShard::empty(dim, metric, config)))
+                .map(|_| RwLock::new(config.build(metric, Rows::new(dim, &[]), &[])))
                 .collect(),
             telemetry: StoreTelemetry::new(n_shards),
         }
@@ -406,23 +357,16 @@ impl ShardedStore {
     ) -> Self {
         assert_eq!(rows.len(), labels.len(), "one label per row");
         let mut store = ShardedStore::new(rows.dim(), metric, config, n_classes, shards);
-        let n_shards = store.shards.len();
-        for (row, &label) in rows.iter().zip(labels) {
-            let s = shard_of(label, n_shards);
-            let shard = store.shard_mut(s);
-            shard.labels.push(label);
-            shard.data.extend_from_slice(row);
-            store.note_class(label);
-        }
-        store.rebuild_indexes();
-        store.refresh_balance_gauges();
+        let mut parts = vec![(Vec::new(), Vec::new()); store.shards.len()];
+        route(&mut parts, labels, rows);
+        store.load_parts(parts);
         store
     }
 
     /// The read guard for shard `s`; a poisoned lock is recovered (the
     /// store's invariants are maintained before any operation that
     /// could panic, so the data behind a poisoned lock is intact).
-    fn read_shard(&self, s: usize) -> RwLockReadGuard<'_, StoreShard> {
+    fn read_shard(&self, s: usize) -> RwLockReadGuard<'_, ServingIndex> {
         if tlsfp_telemetry::enabled() {
             tlsfp_telemetry::counter!(
                 "tlsfp_store_lock_acquisitions_total",
@@ -438,7 +382,7 @@ impl ShardedStore {
 
     /// The write guard for shard `s` (see [`ShardedStore::read_shard`]
     /// on poisoning).
-    fn write_shard(&self, s: usize) -> RwLockWriteGuard<'_, StoreShard> {
+    fn write_shard(&self, s: usize) -> RwLockWriteGuard<'_, ServingIndex> {
         if tlsfp_telemetry::enabled() {
             tlsfp_telemetry::counter!(
                 "tlsfp_store_lock_acquisitions_total",
@@ -453,7 +397,7 @@ impl ShardedStore {
     }
 
     /// Lock-free exclusive access for `&mut self` operations.
-    fn shard_mut(&mut self, s: usize) -> &mut StoreShard {
+    fn shard_mut(&mut self, s: usize) -> &mut ServingIndex {
         self.shards[s]
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
@@ -469,19 +413,18 @@ impl ShardedStore {
         self.shards.len()
     }
 
-    /// Total reference points across every shard (also available
-    /// through [`VectorIndex::len`]). Shard locks are taken one at a
-    /// time, so under concurrent churn this is a coherent per-shard
-    /// sum, not an atomic global snapshot.
+    /// Total reference points across every shard. Shard locks are
+    /// taken one at a time, so under concurrent churn this is a
+    /// coherent per-shard sum, not an atomic global snapshot.
     pub fn len(&self) -> usize {
         (0..self.shards.len())
-            .map(|s| self.read_shard(s).labels.len())
+            .map(|s| self.read_shard(s).len())
             .sum()
     }
 
     /// Whether the store holds no reference points.
     pub fn is_empty(&self) -> bool {
-        (0..self.shards.len()).all(|s| self.read_shard(s).labels.is_empty())
+        (0..self.shards.len()).all(|s| self.read_shard(s).is_empty())
     }
 
     /// Embedding dimensionality.
@@ -516,65 +459,35 @@ impl ShardedStore {
     ///
     /// Panics if `s >= n_shards()`.
     pub fn shard_len(&self, s: usize) -> usize {
-        self.read_shard(s).labels.len()
+        self.read_shard(s).len()
     }
 
     /// An owned snapshot of shard `s`: `(labels, row_data)` in
     /// insertion order, where `row_data` is the contiguous row-major
-    /// buffer (`labels.len() * dim()` floats). Owned because the rows
-    /// live behind the shard's lock; the copy is taken under one read
-    /// lock, so it is internally consistent even during churn.
+    /// buffer (`labels.len() * dim()` floats) — the backend's
+    /// [`crate::VectorIndex::export`]. Owned because the rows live
+    /// behind the shard's lock; the copy is taken under one read lock,
+    /// so it is internally consistent even during churn.
     ///
     /// # Panics
     ///
     /// Panics if `s >= n_shards()`.
     pub fn shard_snapshot(&self, s: usize) -> (Vec<usize>, Vec<f32>) {
-        let shard = self.read_shard(s);
-        (shard.labels.clone(), shard.data.clone())
-    }
-
-    /// Shard `s`'s labels in insertion order (owned; aligned with the
-    /// rows of [`ShardedStore::shard_snapshot`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s >= n_shards()`.
-    pub fn shard_labels(&self, s: usize) -> Vec<usize> {
-        self.read_shard(s).labels.clone()
+        self.read_shard(s).export()
     }
 
     /// Per-shard occupancy, shard-major.
     pub fn shard_sizes(&self) -> Vec<usize> {
         (0..self.shards.len())
-            .map(|s| self.read_shard(s).labels.len())
+            .map(|s| self.read_shard(s).len())
             .collect()
     }
 
-    /// Number of reference points for `class` (scans the owning shard
-    /// only).
+    /// Number of reference points for `class` (exports the owning
+    /// shard only — a diagnostic, not a serving-path call).
     pub fn class_count(&self, class: usize) -> usize {
-        self.read_shard(self.shard_of(class))
-            .labels
-            .iter()
-            .filter(|&&l| l == class)
-            .count()
-    }
-
-    /// Classes with at least one reference point.
-    pub fn populated_classes(&self) -> usize {
-        let mut seen = vec![false; self.n_classes()];
-        for s in 0..self.shards.len() {
-            let shard = self.read_shard(s);
-            for &l in &shard.labels {
-                if l >= seen.len() {
-                    // A class allocated concurrently after the initial
-                    // n_classes() read still counts.
-                    seen.resize(l + 1, false);
-                }
-                seen[l] = true;
-            }
-        }
-        seen.into_iter().filter(|&s| s).count()
+        let (labels, _) = self.shard_snapshot(self.shard_of(class));
+        labels.iter().filter(|&&l| l == class).count()
     }
 
     /// Grows the label space by one class and returns the new id. The
@@ -585,8 +498,8 @@ impl ShardedStore {
         self.n_classes.fetch_add(1, AtomicOrdering::AcqRel)
     }
 
-    /// Replaces shard `s`'s entire contents with these labeled rows
-    /// and (re)builds its index — the shard-bounded provisioning
+    /// Replaces shard `s` with a fresh backend built from these labeled
+    /// rows under the store-wide config — the shard-bounded provisioning
     /// primitive: ingest one shard's embedding batch at a time and
     /// peak memory tracks the largest shard, never the corpus.
     ///
@@ -612,19 +525,16 @@ impl ShardedStore {
             );
             self.note_class(label);
         }
-        let (dim, metric, config) = (self.dim, self.metric, self.config);
-        let shard = self.shard_mut(s);
-        shard.labels = labels.to_vec();
-        shard.data = rows.data().to_vec();
-        shard.rebuild(dim, metric, &config);
+        *self.shard_mut(s) =
+            self.config
+                .build(self.metric, Rows::new(self.dim, rows.data()), labels);
         self.refresh_balance_gauges();
     }
 
-    /// Adds one reference point, routing it to its class's shard. The
-    /// shard's storage and index stay in sync; under an IVF backend
-    /// the vector joins its nearest list incrementally (no
-    /// re-clustering). Takes `&self` and only the owning shard's
-    /// write lock.
+    /// Adds one reference point, routing it to its class's shard;
+    /// under an IVF backend the vector joins its nearest list
+    /// incrementally (no re-clustering). Takes `&self` and only the
+    /// owning shard's write lock.
     ///
     /// # Panics
     ///
@@ -640,12 +550,9 @@ impl ShardedStore {
         assert_eq!(vector.len(), self.dim, "vector dim mismatch");
         self.note_class(class);
         let s = self.shard_of(class);
-        let mut guard = self.write_shard(s);
-        let shard = &mut *guard;
-        shard.labels.push(class);
-        shard.data.extend_from_slice(vector);
-        shard.index.0.as_dyn_mut().add(class, vector);
-        (s, shard.labels.len())
+        let mut shard = self.write_shard(s);
+        shard.add(class, vector);
+        (s, shard.len())
     }
 
     /// Adds many labeled rows, each routed to its class's shard (one
@@ -684,18 +591,9 @@ impl ShardedStore {
         );
         self.note_class(class);
         let s = self.shard_of(class);
-        let dim = self.dim;
         let (removed, rows_after) = {
-            let mut guard = self.write_shard(s);
-            let shard = &mut *guard;
-            let removed =
-                crate::compact_remove_label(dim, class, &mut shard.labels, &mut shard.data, None);
-            for row in rows.iter() {
-                shard.labels.push(class);
-                shard.data.extend_from_slice(row);
-            }
-            shard.index.0.as_dyn_mut().swap_label(class, rows);
-            (removed, shard.labels.len())
+            let mut shard = self.write_shard(s);
+            (shard.swap_label(class, rows), shard.len())
         };
         self.publish_mutation(s, rows_after);
         removed
@@ -707,26 +605,23 @@ impl ShardedStore {
     /// the owning shard's write lock.
     pub fn remove_class(&self, class: usize) -> usize {
         let s = self.shard_of(class);
-        let dim = self.dim;
         let (removed, rows_after) = {
-            let mut guard = self.write_shard(s);
-            let shard = &mut *guard;
-            let removed =
-                crate::compact_remove_label(dim, class, &mut shard.labels, &mut shard.data, None);
-            shard.index.0.as_dyn_mut().remove_label(class);
-            (removed, shard.labels.len())
+            let mut shard = self.write_shard(s);
+            (shard.remove_label(class), shard.len())
         };
         self.publish_mutation(s, rows_after);
         removed
     }
 
     /// Switches every shard's index backend, rebuilding each from its
-    /// canonical rows (IVF quantizers re-train here — the only
-    /// non-incremental step, and the skew remedy: see
+    /// old backend's insertion-order export (IVF quantizers re-train
+    /// here — the only non-incremental step, and the skew remedy: see
     /// [`ShardedStore::balance_stats`]). Exclusive (`&mut self`).
     pub fn set_index(&mut self, config: IndexConfig) {
         self.config = config;
-        self.rebuild_indexes();
+        for s in 0..self.shards.len() {
+            self.rebuild_shard(s, &config);
+        }
         self.refresh_balance_gauges();
     }
 
@@ -743,9 +638,14 @@ impl ShardedStore {
     ///
     /// Panics if `s >= n_shards()`.
     pub fn set_shard_index(&mut self, s: usize, config: &IndexConfig) {
-        let (dim, metric) = (self.dim, self.metric);
-        self.shard_mut(s).rebuild(dim, metric, config);
+        self.rebuild_shard(s, config);
         self.refresh_balance_gauges();
+    }
+
+    /// Rebuilds shard `s` on `config` from its own export.
+    fn rebuild_shard(&mut self, s: usize, config: &IndexConfig) {
+        let (labels, data) = self.shard_mut(s).export();
+        *self.shard_mut(s) = config.build(self.metric, Rows::new(self.dim, &data), &labels);
     }
 
     /// Re-partitions the store across a new shard count, re-routing
@@ -758,18 +658,13 @@ impl ShardedStore {
         if n_shards == self.shards.len() {
             return;
         }
-        let old = std::mem::take(&mut self.shards);
-        self.shards = (0..n_shards)
-            .map(|_| RwLock::new(StoreShard::empty(self.dim, self.metric, &self.config)))
-            .collect();
-        for lock in old {
-            let shard = lock.into_inner().unwrap_or_else(PoisonError::into_inner);
-            for (row, &label) in shard.rows(self.dim).iter().zip(&shard.labels) {
-                let s = shard_of(label, n_shards);
-                let target = self.shard_mut(s);
-                target.labels.push(label);
-                target.data.extend_from_slice(row);
-            }
+        let mut parts = vec![(Vec::new(), Vec::new()); n_shards];
+        for lock in std::mem::take(&mut self.shards) {
+            let (labels, data) = lock
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .export();
+            route(&mut parts, &labels, Rows::new(self.dim, &data));
         }
         // The old layout's per-shard gauges would otherwise keep
         // reporting rows for shards that no longer exist.
@@ -779,17 +674,23 @@ impl ShardedStore {
             }
         }
         self.telemetry = StoreTelemetry::new(n_shards);
-        self.rebuild_indexes();
-        self.refresh_balance_gauges();
+        self.load_parts(parts);
     }
 
-    fn rebuild_indexes(&mut self) {
-        let (dim, metric, config) = (self.dim, self.metric, self.config);
-        for lock in &mut self.shards {
-            lock.get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .rebuild(dim, metric, &config);
-        }
+    /// Replaces every shard with a store-config backend built from its
+    /// routed `(labels, row_data)` part, in shard order.
+    fn load_parts(&mut self, parts: Vec<(Vec<usize>, Vec<f32>)>) {
+        self.shards = parts
+            .into_iter()
+            .map(|(labels, data)| {
+                labels.iter().for_each(|&l| self.note_class(l));
+                RwLock::new(
+                    self.config
+                        .build(self.metric, Rows::new(self.dim, &data), &labels),
+                )
+            })
+            .collect();
+        self.refresh_balance_gauges();
     }
 
     /// Shard-occupancy and (for IVF backends) aggregated inverted-list
@@ -816,11 +717,12 @@ impl ShardedStore {
         let mut max_list = 0usize;
         for s in 0..n_shards {
             let shard = self.read_shard(s);
-            total += shard.labels.len();
-            max = max.max(shard.labels.len());
-            if let Some(stats) = shard.index.0.as_dyn().list_balance() {
+            total += shard.len();
+            max = max.max(shard.len());
+            if let ServingIndex::Ivf(ivf) = &*shard {
+                let stats = ivf.balance_stats();
                 any_lists = true;
-                listed_total += shard.labels.len();
+                listed_total += shard.len();
                 n_lists += stats.n_lists;
                 max_list = max_list.max(stats.max_list);
             }
@@ -889,7 +791,7 @@ impl ShardedStore {
             return;
         }
         for (s, g) in self.telemetry.shard_rows.iter().enumerate() {
-            g.set(self.read_shard(s).labels.len() as f64);
+            g.set(self.read_shard(s).len() as f64);
         }
         self.publish_balance_gauges();
     }
@@ -927,20 +829,6 @@ impl ShardedStore {
             "Aggregated IVF inverted-list skew across shards; 0 when no shard serves IVF"
         )
         .set(b.ivf_lists.map_or(0.0, |l| l.skew));
-    }
-
-    /// The store's rows concatenated shard-major into one owned buffer
-    /// — a diagnostic copy (the store itself never holds a global
-    /// contiguous buffer; that is the point).
-    pub fn concat_rows(&self) -> (Vec<f32>, Vec<usize>) {
-        let mut data = Vec::new();
-        let mut labels = Vec::new();
-        for s in 0..self.shards.len() {
-            let shard = self.read_shard(s);
-            data.extend_from_slice(&shard.data);
-            labels.extend_from_slice(&shard.labels);
-        }
-        (data, labels)
     }
 
     /// Translates shard `s`'s local insertion id into the store's
@@ -996,7 +884,7 @@ impl ShardedStore {
     /// One query, fanned out across the shards by a pool of `workers`
     /// threads (`0` = all cores), each worker read-locking one shard
     /// at a time. The ordered-commit merge makes the result
-    /// bit-identical to [`VectorIndex::search`] at every worker count.
+    /// bit-identical at every worker count.
     pub fn search_concurrent(&self, query: &[f32], k: usize, workers: usize) -> SearchResult {
         let workers = resolve_workers(workers);
         let shard_ids: Vec<usize> = (0..self.shards.len()).collect();
@@ -1004,7 +892,7 @@ impl ShardedStore {
             let _fanout = tlsfp_telemetry::stage_timer!("fanout");
             map_elems(&shard_ids, workers, |&s| {
                 let _scan = tlsfp_telemetry::stage_timer!("shard_scan");
-                self.read_shard(s).index.0.as_dyn().search(query, k)
+                self.read_shard(s).search(query, k)
             })
         };
         let _merge = tlsfp_telemetry::stage_timer!("merge");
@@ -1016,10 +904,11 @@ impl ShardedStore {
     /// *(shard, block)* pair becomes one worker task fanned out across
     /// `workers` threads (`0` = all cores). Each worker read-locks its
     /// shard, runs its block through the backend's blocked scan
-    /// ([`VectorIndex::search_block`] — each row tile loaded once per
-    /// block), and releases; per-shard results then merge under the
+    /// ([`crate::VectorIndex::search_block`] — each row tile loaded
+    /// once per block), and releases; per-shard results then merge under the
     /// ordered-commit rule. Results are bit-identical to calling
-    /// [`VectorIndex::search`] per query, at every worker count.
+    /// [`ShardedStore::search_concurrent`] per query, at every worker
+    /// count.
     pub fn search_batch_concurrent(
         &self,
         queries: &[Vec<f32>],
@@ -1041,7 +930,7 @@ impl ShardedStore {
             map_elems(&tasks, workers, |&(s, b)| {
                 let _scan = tlsfp_telemetry::stage_timer!("shard_scan");
                 let block = &queries[b * qb..((b + 1) * qb).min(queries.len())];
-                self.read_shard(s).index.0.as_dyn().search_block(block, k)
+                self.read_shard(s).search_block(block, k)
             })
         };
         // Ordered commit: `per_task` is (shard-major, then block-major)
@@ -1069,66 +958,10 @@ impl ShardedStore {
     }
 }
 
-impl VectorIndex for ShardedStore {
-    fn dim(&self) -> usize {
-        ShardedStore::dim(self)
-    }
-
-    fn len(&self) -> usize {
-        ShardedStore::len(self)
-    }
-
-    fn metric(&self) -> Metric {
-        ShardedStore::metric(self)
-    }
-
-    /// Fans the query out across every shard (read-locking one at a
-    /// time) and merges the per-shard top-k under the fixed
-    /// `(distance, id)` tie-break: the merged neighbors come back
-    /// sorted ascending by `(dist, id)` at every shard count.
-    fn search(&self, query: &[f32], k: usize) -> SearchResult {
-        let per_shard: Vec<SearchResult> = (0..self.shards.len())
-            .map(|s| self.read_shard(s).index.0.as_dyn().search(query, k))
-            .collect();
-        self.merge_shard_results(per_shard, k)
-    }
-
-    /// Routes to [`ShardedStore::search_batch_concurrent`]: the whole
-    /// serving path gets (shard × query-block) concurrent fan-out
-    /// through the trait it already calls.
-    fn search_batch(&self, queries: &[Vec<f32>], k: usize, threads: usize) -> Vec<SearchResult> {
-        self.search_batch_concurrent(queries, k, threads)
-    }
-
-    fn add(&mut self, label: usize, vector: &[f32]) {
-        self.add_row(label, vector);
-    }
-
-    fn remove_label(&mut self, label: usize) -> usize {
-        self.remove_class(label)
-    }
-
-    fn swap_label(&mut self, label: usize, rows: Rows<'_>) -> usize {
-        self.swap_class(label, rows)
-    }
-
-    fn list_balance(&self) -> Option<BalanceStats> {
-        self.balance_stats().ivf_lists
-    }
-
-    fn snapshot(&self) -> IndexSnapshot {
-        IndexSnapshot::Sharded(self.clone())
-    }
-
-    fn boxed_clone(&self) -> Box<dyn VectorIndex> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlatIndex, IvfParams};
+    use crate::{FlatIndex, IvfParams, VectorIndex};
 
     /// Clustered labeled rows: `classes` groups of `per_class` points.
     fn clustered(classes: usize, per_class: usize, dim: usize) -> (Vec<f32>, Vec<usize>) {
@@ -1169,7 +1002,7 @@ mod tests {
             let mut want = flat.search(&q, 4);
             want.neighbors
                 .sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-            assert_eq!(store.search(&q, 4), want);
+            assert_eq!(store.search_concurrent(&q, 4, 1), want);
         }
     }
 
@@ -1191,7 +1024,7 @@ mod tests {
             assert_eq!(store.len(), flat.len());
             for c in 0..8 {
                 let q = vec![c as f32 * 3.0 + 0.004; 4];
-                let st = store.search(&q, 5);
+                let st = store.search_concurrent(&q, 5, 1);
                 let fl = flat.search(&q, 5);
                 assert_eq!(st.nearest.to_bits(), fl.nearest.to_bits());
                 // Same neighbor set by (dist bits, label).
@@ -1230,7 +1063,10 @@ mod tests {
                 shards,
             );
             let queries: Vec<Vec<f32>> = (0..9).map(|c| vec![c as f32 * 3.0 + 0.004; 4]).collect();
-            let serial: Vec<SearchResult> = queries.iter().map(|q| store.search(q, 5)).collect();
+            let serial: Vec<SearchResult> = queries
+                .iter()
+                .map(|q| store.search_concurrent(q, 5, 1))
+                .collect();
             for workers in [1usize, 2, 4, 0] {
                 for (q, want) in queries.iter().zip(&serial) {
                     assert_eq!(
@@ -1270,7 +1106,14 @@ mod tests {
         assert_eq!(after[2], before[2], "shard 2 touched by class-4 swap");
         assert_eq!(after[1], before[1] - 2);
         // The swap is visible to search.
-        assert_eq!(store.search(&[42.0, 42.0], 1).top().unwrap().label, 4);
+        assert_eq!(
+            store
+                .search_concurrent(&[42.0, 42.0], 1, 1)
+                .top()
+                .unwrap()
+                .label,
+            4
+        );
         // Remove empties the class without shrinking the label space.
         assert_eq!(store.remove_class(4), 2);
         assert_eq!(store.class_count(4), 0);
@@ -1293,8 +1136,14 @@ mod tests {
         store.add_row(id, &[99.0, 99.0]);
         assert_eq!(store.shard_of(id), 0);
         assert_eq!(store.class_count(id), 1);
-        assert_eq!(store.search(&[99.0, 99.0], 1).top().unwrap().label, id);
-        assert_eq!(store.populated_classes(), 5);
+        assert_eq!(
+            store
+                .search_concurrent(&[99.0, 99.0], 1, 1)
+                .top()
+                .unwrap()
+                .label,
+            id
+        );
     }
 
     #[test]
@@ -1317,7 +1166,7 @@ mod tests {
         // Queries still resolve to the right class.
         for c in [0usize, 4, 8] {
             let q = vec![c as f32 * 3.0 + 0.002; 3];
-            assert_eq!(store.search(&q, 3).top().unwrap().label, c);
+            assert_eq!(store.search_concurrent(&q, 3, 1).top().unwrap().label, c);
         }
     }
 
@@ -1330,20 +1179,20 @@ mod tests {
         let queries: Vec<Vec<f32>> = (0..6).map(|c| vec![c as f32 * 3.0 + 0.004; 3]).collect();
         let before: Vec<Option<usize>> = queries
             .iter()
-            .map(|q| store.search(q, 3).top().map(|n| n.label))
+            .map(|q| store.search_concurrent(q, 3, 1).top().map(|n| n.label))
             .collect();
         store.set_shards(3);
         assert_eq!(store.n_shards(), 3);
         let after: Vec<Option<usize>> = queries
             .iter()
-            .map(|q| store.search(q, 3).top().map(|n| n.label))
+            .map(|q| store.search_concurrent(q, 3, 1).top().map(|n| n.label))
             .collect();
         assert_eq!(before, after);
         // And scores are the same bits — the same distances exist.
         store.set_shards(1);
         let (labels0, data0) = store.shard_snapshot(0);
         for q in &queries {
-            let r = store.search(q, 3);
+            let r = store.search_concurrent(q, 3, 1);
             assert_eq!(
                 r.nearest.to_bits(),
                 FlatIndex::from_rows(Metric::Euclidean, Rows::new(3, &data0), &labels0)
@@ -1370,7 +1219,10 @@ mod tests {
         let back: ShardedStore = serde_json::from_str(&json).unwrap();
         assert_eq!(back, store);
         let q = vec![50.0f32; 3];
-        assert_eq!(back.search(&q, 3), store.search(&q, 3));
+        assert_eq!(
+            back.search_concurrent(&q, 3, 1),
+            store.search_concurrent(&q, 3, 1)
+        );
     }
 
     #[test]
@@ -1381,7 +1233,14 @@ mod tests {
         store.load_shard(1, &[1, 3], Rows::new(2, &[1.0, 1.0, 3.0, 3.0]));
         assert_eq!(store.len(), 5);
         assert_eq!(store.shard_len(0), 3);
-        assert_eq!(store.search(&[3.0, 3.0], 1).top().unwrap().label, 3);
+        assert_eq!(
+            store
+                .search_concurrent(&[3.0, 3.0], 1, 1)
+                .top()
+                .unwrap()
+                .label,
+            3
+        );
     }
 
     #[test]

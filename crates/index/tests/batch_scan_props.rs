@@ -5,7 +5,9 @@
 //! distances, ids, labels, neighbor order (the flat backend's heap
 //! iteration order included) and `distance_evals` — at block sizes
 //! {1, 3, 64, > batch}, and so must `search_batch` at its auto block
-//! size and worker counts {1, 4, 0}.
+//! size and worker counts {1, 4, 0}. Through the sharded store, the
+//! (shard × query-block) batch fan-out must equal per-query
+//! `search_concurrent` at the same worker counts.
 //!
 //! This is the contract that makes the blocked kernels safe to route
 //! every batch caller through: blocking reorders which (query, row)
@@ -144,6 +146,17 @@ proptest! {
             n_classes,
             shards,
         );
-        assert_blocked_matches_serial(&store, &queries, k, "sharded");
+        let serial: Vec<SearchResult> = queries
+            .iter()
+            .map(|q| store.search_concurrent(q, k, 1))
+            .collect();
+        for threads in [1usize, 4, 0] {
+            prop_assert_eq!(
+                &store.search_batch_concurrent(&queries, k, threads),
+                &serial,
+                "sharded batch fan-out diverged at threads={}",
+                threads
+            );
+        }
     }
 }

@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use tlsfp_index::sharded::ShardedStore;
-use tlsfp_index::{IndexConfig, IvfParams, Metric, Rows, SearchResult};
+use tlsfp_index::{FlatIndex, IndexConfig, IvfParams, Metric, Rows, SearchResult};
 
 fn hash(v: u64) -> u64 {
     v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
@@ -262,8 +262,8 @@ fn apply(store: &ShardedStore, dim: usize, op: &Op) {
 /// Tier-1 stress test: 4 writers churn disjoint shard sets (class % S
 /// routing keeps every writer's mutations on shards no other writer
 /// touches) while 4 readers query concurrently. Afterwards the store
-/// must equal — `PartialEq`, which compares every shard's rows *and*
-/// its serving-index snapshot — a serial replay of the same logs, its
+/// must equal — `PartialEq`, which compares every shard's backend,
+/// rows included — a serial replay of the same logs, its
 /// searches must be bit-identical to the replay's, and recall@1 of
 /// the churned IVF store must be >= 0.95 against an exact flat scan.
 #[test]
@@ -356,7 +356,7 @@ fn writer_reader_stress_matches_serial_replay() {
     // Serial replay: same per-writer logs, applied one writer at a
     // time. Each shard sees exactly the op sequence of its one owner,
     // in the same order as the concurrent run, so the stores must be
-    // equal down to index snapshots.
+    // equal down to every shard's backend.
     let replay = initial.clone();
     for script in &scripts {
         for op in script {
@@ -435,8 +435,8 @@ fn balance_stats_stay_finite_on_drained_and_mixed_shards() {
 /// Satellite of the PQ work: a store whose shards run *different*
 /// backends (PQ / IVF / flat) keeps serving exact decisions where its
 /// shards are exact, compares equal to itself through `PartialEq`
-/// (which descends into index snapshots), and serde round-trips each
-/// shard's actual backend faithfully.
+/// (which descends into each shard's backend), and serde round-trips
+/// each shard's actual backend faithfully.
 #[test]
 fn mixed_per_shard_configs_serve_compare_and_round_trip() {
     let mut store = build_store(&IndexConfig::Flat, 4, 6, 4, 3);
@@ -451,7 +451,7 @@ fn mixed_per_shard_configs_serve_compare_and_round_trip() {
         assert_eq!(got.neighbors[0].label, class, "class {class} top-1");
     }
 
-    // Clone → equal, including the per-shard index snapshots.
+    // Clone → equal, including each shard's backend.
     let clone = store.clone();
     assert_eq!(clone, store);
 
@@ -470,7 +470,7 @@ fn mixed_per_shard_configs_serve_compare_and_round_trip() {
     }
 
     // Mutations through the store still land on the overridden
-    // backends without desyncing canonical rows from the index.
+    // backends.
     assert_eq!(store.remove_class(0), 4); // shard 0 (PQ)
     assert_eq!(store.remove_class(1), 4); // shard 1 (IVF)
     assert_eq!(store.len(), 16);
@@ -487,4 +487,86 @@ fn mixed_per_shard_configs_serve_compare_and_round_trip() {
     let oracle = exhaustive_oracle(&store, &center(3, 4));
     let got = store.search_concurrent(&center(3, 4), 4, 0);
     assert_eq!(result_elems(&got), oracle[..4].to_vec());
+}
+
+/// One churn script under Flat, IVF and PQ leaves every shard with the
+/// same rows in the same insertion order — the export every rebuild
+/// starts from. IVF spreads rows over lists and must gather them back
+/// by id. So converting the IVF and PQ stores to Flat yields the Flat
+/// store exactly, and a Flat → IVF → PQ → Flat round trip is the
+/// identity.
+#[test]
+fn rebuilds_keep_insertion_order_on_every_backend() {
+    const DIM: usize = 4;
+    let configs = [
+        IndexConfig::Flat,
+        IndexConfig::Ivf(IvfParams::new(3, 1)),
+        IndexConfig::pq_default(),
+    ];
+    for shards in [1usize, 3] {
+        let churned: Vec<ShardedStore> = configs
+            .iter()
+            .map(|config| {
+                let store = build_store(config, DIM, 6, 5, shards);
+                store.swap_class(2, Rows::new(DIM, &class_rows(2, DIM, 3, 11)));
+                assert_eq!(store.remove_class(4), 5);
+                let new_class = store.allocate_class();
+                let rows = class_rows(new_class, DIM, 2, 12);
+                store.add_rows(&[new_class; 2], Rows::new(DIM, &rows));
+                store.swap_class(0, Rows::new(DIM, &class_rows(0, DIM, 4, 13)));
+                store.add_rows(&[4], Rows::new(DIM, &class_rows(4, DIM, 1, 14)));
+                store
+            })
+            .collect();
+        let flat = &churned[0];
+        for (config, store) in configs.iter().zip(&churned).skip(1) {
+            let mut rebuilt = store.clone();
+            rebuilt.set_index(IndexConfig::Flat);
+            assert_eq!(&rebuilt, flat, "{config:?} at shards={shards}");
+        }
+        let mut round_trip = flat.clone();
+        for config in [configs[1], configs[2], IndexConfig::Flat] {
+            round_trip.set_index(config);
+        }
+        assert_eq!(&round_trip, flat, "round trip at shards={shards}");
+    }
+}
+
+/// Each shard is one backend holding its rows once: a flat store
+/// serializes to about the summed JSON of one `FlatIndex` per shard
+/// (a second row buffer per shard would double it), and a snapshot
+/// whose shards carry the older `{labels, data, index}` two-copy shape
+/// is refused with an error rather than loaded.
+#[test]
+fn store_serializes_each_row_once_and_refuses_two_copy_shards() {
+    const DIM: usize = 8;
+    for shards in [1usize, 3] {
+        let store = build_store(&IndexConfig::Flat, DIM, 9, 20, shards);
+        let json = serde_json::to_string(&store).unwrap();
+        let mut backends_len = 0usize;
+        let mut two_copy_shards = Vec::new();
+        for s in 0..store.n_shards() {
+            let (labels, data) = store.shard_snapshot(s);
+            let flat = FlatIndex::from_rows(Metric::Euclidean, Rows::new(DIM, &data), &labels);
+            let flat_json = serde_json::to_string(&flat).unwrap();
+            backends_len += flat_json.len();
+            two_copy_shards.push(format!(
+                r#"{{"labels":{},"data":{},"index":{{"Flat":{flat_json}}}}}"#,
+                serde_json::to_string(&labels).unwrap(),
+                serde_json::to_string(&data).unwrap(),
+            ));
+        }
+        let ratio = json.len() as f64 / backends_len as f64;
+        assert!(
+            ratio < 1.2,
+            "store JSON is {ratio:.3}x its backends at shards={shards}"
+        );
+
+        let head = &json[..json.find(r#""shards":"#).expect("shards key")];
+        let two_copy = format!(r#"{head}"shards":[{}]}}"#, two_copy_shards.join(","));
+        assert!(
+            serde_json::from_str::<ShardedStore>(&two_copy).is_err(),
+            "a two-copy snapshot loaded at shards={shards}"
+        );
+    }
 }

@@ -9,7 +9,7 @@
 //! - **Always**: the distance-bit sequence, `nearest` bits and eval
 //!   count of the merged top-k equal the monolithic scan's (the
 //!   k-smallest distance *multiset* is unique even under ties), and
-//!   the sequential path, the single-query fan-out and the batch
+//!   the one-worker pass, the single-query fan-out and the batch
 //!   fan-out agree bit-for-bit at worker counts {1, 2, 5, 0}.
 //! - **When `k` covers every shard** (no per-shard heap eviction):
 //!   full element identity — ids and labels included — with the
@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 
 use tlsfp_index::sharded::ShardedStore;
-use tlsfp_index::{IndexConfig, Metric, Rows, VectorIndex};
+use tlsfp_index::{IndexConfig, Metric, Rows};
 
 fn hash(v: u64) -> u64 {
     v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
@@ -91,7 +91,10 @@ proptest! {
             })
             .collect();
 
-        let serial: Vec<_> = queries.iter().map(|q| store.search(q, k)).collect();
+        let serial: Vec<_> = queries
+            .iter()
+            .map(|q| store.search_concurrent(q, k, 1))
+            .collect();
         for (q, got) in queries.iter().zip(&serial) {
             // The monolithic oracle: every row's (dist, gid, label),
             // one sort under the (dist, id) tie-break, truncate to k.
@@ -123,7 +126,7 @@ proptest! {
         }
 
         // Worker-count invariance: single-query fan-out and the batch
-        // front door are bit-identical to the sequential pass.
+        // front door are bit-identical to the one-worker pass.
         for workers in [1usize, 2, 5, 0] {
             for (q, want) in queries.iter().zip(&serial) {
                 prop_assert_eq!(

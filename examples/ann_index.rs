@@ -10,7 +10,6 @@
 
 use tlsfp::core::pipeline::{AdaptiveFingerprinter, PipelineConfig};
 use tlsfp::core::IndexConfig;
-use tlsfp::index::VectorIndex;
 use tlsfp::trace::dataset::Dataset;
 use tlsfp::trace::tensorize::TensorConfig;
 use tlsfp::web::corpus::CorpusSpec;
@@ -48,9 +47,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("[2/5] converting to an IVF index…");
     adversary.set_index(IndexConfig::ivf_default());
     let ivf_top1 = adversary.evaluate(&test).top_n_accuracy(1);
-    let probe_result = adversary
-        .reference()
-        .search(&adversary.embed_all(&test.seqs()[..1])[0], adversary.k());
+    let probe_result = adversary.reference().search_concurrent(
+        &adversary.embed_all(&test.seqs()[..1])[0],
+        adversary.k(),
+        1,
+    );
     println!(
         "      IVF backend: top-1 {:.3} (flat {:.3}), one query costs {} distance evals of {} vectors",
         ivf_top1,

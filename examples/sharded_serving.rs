@@ -12,7 +12,6 @@
 //! contract, scaling knobs).
 
 use tlsfp::core::pipeline::{AdaptiveFingerprinter, PipelineConfig};
-use tlsfp::index::VectorIndex;
 use tlsfp::trace::dataset::Dataset;
 use tlsfp::trace::tensorize::TensorConfig;
 use tlsfp::web::corpus::CorpusSpec;
@@ -52,9 +51,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    tie-break — decisions are identical to a one-shard store.
     println!("[2/5] serving queries through the shard fan-out…");
     let top1 = adversary.evaluate(&test).top_n_accuracy(1);
-    let probe = adversary
-        .reference()
-        .search(&adversary.embed_all(&test.seqs()[..1])[0], adversary.k());
+    let probe = adversary.reference().search_concurrent(
+        &adversary.embed_all(&test.seqs()[..1])[0],
+        adversary.k(),
+        1,
+    );
     println!(
         "      top-1 {:.3}; one query costs {} distance evals over {} vectors",
         top1,

@@ -12,9 +12,9 @@
 //! - [`trace`] — capture → per-IP byte-count sequence extraction, datasets
 //!   and experiment splits.
 //! - [`index`] — the serving store: mutable nearest-neighbor indexes
-//!   (exact contiguous flat scan, candidate-pruning IVF) and the
-//!   class-sharded `ShardedStore` that composes them per shard for the
-//!   large-class regime.
+//!   (exact contiguous flat scan, candidate-pruning IVF, product-
+//!   quantized PQ) and the class-sharded `ShardedStore`, each of whose
+//!   shards is one such index, for the large-class regime.
 //! - [`core`] — the paper's contribution: embedding model, sharded
 //!   reference store, kNN top-N classification,
 //!   provision/fingerprint/adapt pipeline, metrics and padding

@@ -198,10 +198,14 @@ fn churn_across_all_shards_keeps_recall_with_per_shard_ivf() {
     for q in &queries {
         let truth = exact
             .reference()
-            .search(q, 1)
+            .search_concurrent(q, 1, 1)
             .top()
             .expect("non-empty store");
-        let got = fp.reference().search(q, 1).top().expect("non-empty store");
+        let got = fp
+            .reference()
+            .search_concurrent(q, 1, 1)
+            .top()
+            .expect("non-empty store");
         if got.dist.to_bits() == truth.dist.to_bits() {
             hits += 1;
         }

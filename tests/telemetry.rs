@@ -209,16 +209,14 @@ fn shard_gauges_track_churn_and_export() {
     assert!(json.contains("tlsfp_shard_rows"));
 }
 
-/// Every front door — trait `search`, `search_concurrent` and the
-/// batch fan-out — takes the one fan-out and merge path at every shard
+/// Every front door — `search_concurrent` at one and two workers and
+/// the batch fan-out — takes the one fan-out and merge path at every shard
 /// count, so the `backend="sharded"` query/eval counters advance by
 /// exactly the same amount on an S=1 store as on an S=4 store over the
 /// same rows (a flat backend scans every row either way, so the eval
 /// totals match too).
 #[test]
 fn sharded_counters_agree_between_one_and_four_shards() {
-    use tlsfp::index::VectorIndex;
-
     let _guard = FlagGuard::acquire();
     tlsfp::telemetry::set_enabled(true);
 
@@ -241,7 +239,7 @@ fn sharded_counters_agree_between_one_and_four_shards() {
         let e_before = before
             .counter("tlsfp_distance_evals_total", &[("backend", "sharded")])
             .unwrap_or(0);
-        store.search(&queries[0], 3);
+        store.search_concurrent(&queries[0], 3, 1);
         store.search_concurrent(&queries[1], 3, 2);
         store.search_batch_concurrent(&queries, 3, 2);
         let after = tlsfp::telemetry::global().snapshot();
