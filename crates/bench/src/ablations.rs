@@ -144,7 +144,8 @@ pub fn run_ablations(scale: &Scale) -> Vec<AblationRow> {
                 fp.embedder().clone(),
                 k,
                 base_pipeline.threads,
-            );
+            )
+            .expect("k > 0");
             variant.set_reference(&train).expect("reference");
             let report = variant.evaluate(&test);
             rows.push(AblationRow {
@@ -166,7 +167,8 @@ pub fn run_ablations(scale: &Scale) -> Vec<AblationRow> {
                 fp.embedder().clone(),
                 base_pipeline.k,
                 base_pipeline.threads,
-            );
+            )
+            .expect("k > 0");
             variant.set_reference(&capped).expect("reference");
             let report = variant.evaluate(&test);
             let label = if per_class == usize::MAX {

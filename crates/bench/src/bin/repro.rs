@@ -316,7 +316,7 @@ fn main() {
     }
 
     if run_all || target == "fig_batchscan" {
-        println!("\n=== Batch scan — blocked distance kernels vs the per-query loop ===");
+        println!("\n=== Batch scan — blocked distance kernels vs single queries ===");
         let result = run_fig_batchscan(&scale);
         println!(
             "  k={} refs/class={} cores={}",

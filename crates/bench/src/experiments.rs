@@ -1769,7 +1769,8 @@ pub fn run_fig_telemetry(scale: &Scale) -> FigTelemetryResult {
         tlsfp_nn::embedding::SequenceEmbedder::new(scale.pipeline.embedder.clone(), scale.seed)
             .expect("pipeline embedder config is valid");
     let mut fp =
-        AdaptiveFingerprinter::from_trained(embedder, scale.pipeline.k, scale.pipeline.threads);
+        AdaptiveFingerprinter::from_trained(embedder, scale.pipeline.k, scale.pipeline.threads)
+            .expect("pipeline k is positive");
     fp.set_shards(FIG_TELEMETRY_SHARDS);
     fp.set_reference(&reference).expect("reference fits");
 
@@ -1913,8 +1914,8 @@ pub struct BatchScanPoint {
     pub n_queries: usize,
     /// Queries per `search_batch_concurrent` call.
     pub batch_size: usize,
-    /// Throughput of the per-query loop (`search`, one query at a
-    /// time) — the pre-blocking baseline.
+    /// Throughput of single queries (`search_concurrent`, each a block
+    /// of one through the same kernel) — the unamortized baseline.
     pub per_query_qps: f64,
     /// Throughput of the blocked batch path at auto workers.
     pub batched_qps: f64,
@@ -1925,11 +1926,11 @@ pub struct BatchScanPoint {
     pub batched_speedup: f64,
     /// `blocked_1worker_qps / per_query_qps`.
     pub blocked_1worker_speedup: f64,
-    /// Top-1 decisions (through the kNN rank path) identical to the
-    /// per-query loop.
+    /// Top-1 decisions (through the kNN rank path) identical to single
+    /// queries.
     pub decisions_identical: bool,
     /// Every neighbor list, distance bit and eval count identical to
-    /// the per-query loop.
+    /// single queries.
     pub score_bits_identical: bool,
 }
 
@@ -1949,10 +1950,10 @@ pub struct FigBatchScanResult {
 
 /// Measures one backend at one store size: a single-shard store (so
 /// the batch front door's one task per query block runs the backend's
-/// blocked kernel over the whole store) served through the per-query
-/// loop and through `search_batch_concurrent` in `batch_size` chunks at
-/// auto workers and at one worker. Every batched pass is checked
-/// bit-identical to the per-query loop.
+/// blocked kernel over the whole store) served as single queries
+/// (blocks of one) and through `search_batch_concurrent` in
+/// `batch_size` chunks at auto workers and at one worker. Every
+/// batched pass is checked bit-identical to the single queries.
 pub fn run_batchscan_backend(
     backend: &str,
     config: &tlsfp_index::IndexConfig,
@@ -2050,7 +2051,7 @@ pub fn run_batchscan_backend(
 /// [`FIG_BATCHSCAN_BACKENDS`] × [`FIG_BATCHSCAN_BATCH_SIZES`] — the
 /// artifact trail for the batch-serving claim: one store scan
 /// amortized across the whole query block on every backend, with
-/// bit-identity to the per-query loop checked per cell.
+/// bit-identity to single queries checked per cell.
 pub fn run_fig_batchscan(scale: &Scale) -> FigBatchScanResult {
     use tlsfp_index::{IndexConfig, PqParams};
     let mut points = Vec::new();
@@ -3313,7 +3314,7 @@ mod tests {
     /// Tier-1 batched-scan smoke: the experiment `repro fig_batchscan`
     /// runs at smoke scale and covers the full backend × batch grid.
     /// The bit-identity columns bind unconditionally — every batched
-    /// cell identical to the per-query loop at auto workers *and* one
+    /// cell identical to single queries at auto workers *and* one
     /// worker. Throughput gates live in the tier-2 variant; at smoke
     /// scale the stores are cache-resident and timing is noise.
     #[test]
@@ -3332,12 +3333,12 @@ mod tests {
             assert_eq!(p.backend, expected_backend, "sweep order");
             assert!(
                 p.decisions_identical,
-                "{} classes={} batch={}: decisions diverged from the per-query loop",
+                "{} classes={} batch={}: decisions diverged from single queries",
                 p.backend, p.n_classes, p.batch_size
             );
             assert!(
                 p.score_bits_identical,
-                "{} classes={} batch={}: score bits diverged from the per-query loop",
+                "{} classes={} batch={}: score bits diverged from single queries",
                 p.backend, p.n_classes, p.batch_size
             );
             assert!(p.per_query_qps > 0.0 && p.batched_qps > 0.0 && p.blocked_1worker_qps > 0.0);
@@ -3358,7 +3359,7 @@ mod tests {
             );
         }
         // The acceptance bar: flat at batch 64 on the largest store
-        // serves ≥ 1.5x the per-query loop. Only binds where the
+        // serves ≥ 1.5x single queries. Only binds where the
         // silicon can express it — single-core hosts still prove the
         // identity columns above.
         if result.available_cores >= 4 {
@@ -3375,7 +3376,7 @@ mod tests {
                 .expect("flat batch-64 cell in sweep");
             assert!(
                 p.batched_speedup >= 1.5,
-                "flat batch-64 only {:.2}x over the per-query loop on a {}-core host \
+                "flat batch-64 only {:.2}x over single queries on a {}-core host \
                  (loop {:.0} qps, batched {:.0} qps)",
                 p.batched_speedup,
                 result.available_cores,

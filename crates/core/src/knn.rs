@@ -61,16 +61,6 @@ pub struct ScoredPrediction {
     pub score: f32,
 }
 
-/// kNN classifier configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct KnnClassifier {
-    /// Neighbourhood size (250 in the paper; capped to the reference
-    /// set's size at query time).
-    pub k: usize,
-    /// Distance metric.
-    pub metric: Metric,
-}
-
 /// Turns a neighbor search outcome into the voted, ranked prediction —
 /// the one vote/rank path every serving call shares. Exposed so
 /// callers holding a [`SearchResult`] (the experiments, the benchmark)
@@ -99,29 +89,6 @@ pub fn rank_search(result: SearchResult) -> ScoredPrediction {
             votes: votes.iter().map(|(_, v, _)| *v).collect(),
         },
         score: result.nearest,
-    }
-}
-
-impl KnnClassifier {
-    /// The paper's configuration: k = 250, Euclidean.
-    pub fn paper() -> Self {
-        KnnClassifier {
-            k: 250,
-            metric: Metric::Euclidean,
-        }
-    }
-
-    /// A classifier with the given k and Euclidean distance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        KnnClassifier {
-            k,
-            metric: Metric::Euclidean,
-        }
     }
 }
 

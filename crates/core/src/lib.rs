@@ -60,7 +60,7 @@ pub mod pipeline;
 pub mod streaming;
 
 pub use error::{CoreError, Result};
-pub use knn::{KnnClassifier, RankedPrediction, ScoredPrediction};
+pub use knn::{RankedPrediction, ScoredPrediction};
 pub use metrics::EvalReport;
 pub use open_world::{ConfusionCounts, OpenWorldReport, PerClassThresholds, RocPoint};
 pub use pipeline::{AdaptiveFingerprinter, PipelineConfig};

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use tlsfp_index::sharded::ShardedStore;
-use tlsfp_index::IndexConfig;
+use tlsfp_index::{IndexConfig, Metric};
 use tlsfp_nn::embedding::{EmbedScratch, EmbedderConfig, SequenceEmbedder};
 use tlsfp_nn::optim::Sgd;
 use tlsfp_nn::pairs::{random_pairs, semi_hard_pairs, ClassIndex};
@@ -23,7 +23,7 @@ use tlsfp_nn::siamese::SiameseTrainer;
 use tlsfp_trace::dataset::Dataset;
 
 use crate::error::{CoreError, Result};
-use crate::knn::{rank_search, KnnClassifier, RankedPrediction, ScoredPrediction};
+use crate::knn::{rank_search, RankedPrediction, ScoredPrediction};
 use crate::metrics::EvalReport;
 use crate::open_world::{self, OpenWorldReport, PerClassThresholds};
 
@@ -155,7 +155,9 @@ pub struct AdaptiveFingerprinter {
     /// holds that shard's embeddings and is the only copy of them. All
     /// classify/fingerprint paths route through it.
     store: ShardedStore,
-    knn: KnnClassifier,
+    /// kNN neighbourhood size (250 in the paper; capped to the
+    /// reference set's size at query time). The metric is the store's.
+    k: usize,
     threads: usize,
     /// Worker-pool size for the concurrent shard fan-out on the query
     /// paths (`0` = auto). Never changes a decision.
@@ -194,10 +196,9 @@ impl AdaptiveFingerprinter {
         let mut embedder = SequenceEmbedder::new(config.embedder.clone(), seed)?;
         let log = train_embedder(&mut embedder, train, config, seed)?;
 
-        let knn = KnnClassifier::new(config.k);
         let store = ShardedStore::new(
             config.embedder.output_size,
-            knn.metric,
+            Metric::Euclidean,
             &config.index,
             train.n_classes(),
             config.shards,
@@ -205,7 +206,7 @@ impl AdaptiveFingerprinter {
         let mut fp = AdaptiveFingerprinter {
             embedder,
             store,
-            knn,
+            k: config.k,
             threads: config.threads,
             query_workers: config.query_workers,
             log,
@@ -216,15 +217,22 @@ impl AdaptiveFingerprinter {
     }
 
     /// Builds a deployment around an already-trained embedder (model
-    /// reuse across experiments, or a deserialized model).
-    pub fn from_trained(embedder: SequenceEmbedder, k: usize, threads: usize) -> Self {
+    /// reuse across experiments, or a deserialized model), with an
+    /// empty one-shard flat reference store.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::BadConfig`] for `k = 0`.
+    pub fn from_trained(embedder: SequenceEmbedder, k: usize, threads: usize) -> Result<Self> {
+        if k == 0 {
+            return Err(CoreError::BadConfig("k must be positive".into()));
+        }
         let dim = embedder.output_size();
-        let knn = KnnClassifier::new(k);
-        let store = ShardedStore::new(dim, knn.metric, &IndexConfig::Flat, 0, 1);
-        AdaptiveFingerprinter {
+        let store = ShardedStore::new(dim, Metric::Euclidean, &IndexConfig::Flat, 0, 1);
+        Ok(AdaptiveFingerprinter {
             embedder,
             store,
-            knn,
+            k,
             threads,
             query_workers: 0,
             log: TrainingLog {
@@ -232,7 +240,7 @@ impl AdaptiveFingerprinter {
                 train_seconds: 0.0,
             },
             shards: 1,
-        }
+        })
     }
 
     /// The trained embedding model.
@@ -284,7 +292,7 @@ impl AdaptiveFingerprinter {
 
     /// kNN neighbourhood size in use.
     pub fn k(&self) -> usize {
-        self.knn.k
+        self.k
     }
 
     /// Sets the worker-thread count used by batch operations
@@ -329,10 +337,9 @@ impl AdaptiveFingerprinter {
                 self.embedder.input_size()
             )));
         }
-        let threads = self.threads_or_default();
         let mut store = ShardedStore::new(
             self.embedder.output_size(),
-            self.knn.metric,
+            self.store.metric(),
             &self.store.index_config(),
             data.n_classes(),
             self.shards,
@@ -342,7 +349,7 @@ impl AdaptiveFingerprinter {
             // dataset order — exactly the historical unsharded path,
             // bit for bit.
             self.embedder
-                .embed_batch_with(data.seqs(), threads, |rows| {
+                .embed_batch_with(data.seqs(), self.threads, |rows| {
                     store.load_shard(0, data.labels(), rows);
                 });
         } else {
@@ -355,7 +362,7 @@ impl AdaptiveFingerprinter {
                         labels.push(label);
                     }
                 }
-                self.embedder.embed_batch_with(&seqs, threads, |rows| {
+                self.embedder.embed_batch_with(&seqs, self.threads, |rows| {
                     store.load_shard(s, &labels, rows);
                 });
             }
@@ -378,28 +385,29 @@ impl AdaptiveFingerprinter {
                 n_classes: self.store.n_classes(),
             });
         }
-        let threads = self.threads_or_default();
-        let store = &mut self.store;
-        let removed = self
-            .embedder
-            .embed_batch_with(fresh_traces, threads, |rows| store.swap_class(class, rows));
-        Ok(removed)
+        Ok(self.swap_in(class, fresh_traces))
     }
 
     /// Adds a brand-new webpage to the monitored set and returns its
     /// class id — possible without retraining because the embedder is
-    /// class-agnostic. The new class routes into an existing shard;
-    /// no other shard is touched.
+    /// class-agnostic. The new class routes into an existing shard and
+    /// is filled by one swap, like [`AdaptiveFingerprinter::update_class`]:
+    /// no other shard is touched, and readers see the class empty or
+    /// whole, never half-added.
     pub fn add_class(&mut self, traces: &[SeqInput]) -> Result<usize> {
         let class = self.store.allocate_class();
-        let threads = self.threads_or_default();
-        let store = &mut self.store;
-        self.embedder.embed_batch_with(traces, threads, |rows| {
-            for e in rows.iter() {
-                store.add_row(class, e);
-            }
-        });
+        self.swap_in(class, traces);
         Ok(class)
+    }
+
+    /// Embeds `traces` in one batch and swaps them in as `class`'s
+    /// reference points (one write lock on the owning shard); returns
+    /// how many points were dropped.
+    fn swap_in(&self, class: usize, traces: &[SeqInput]) -> usize {
+        self.embedder
+            .embed_batch_with(traces, self.threads, |rows| {
+                self.store.swap_class(class, rows)
+            })
     }
 
     /// Stops monitoring a webpage: drops every reference point of
@@ -587,7 +595,7 @@ impl AdaptiveFingerprinter {
     /// `embed_batch` directly) — nothing embeds one trace at a time.
     pub fn embed_all(&self, traces: &[SeqInput]) -> Vec<Vec<f32>> {
         self.embedder
-            .embed_batch_with(traces, self.threads_or_default(), |rows| rows.to_vecs())
+            .embed_batch_with(traces, self.threads, |rows| rows.to_vecs())
     }
 
     /// Evaluates against a labeled test set, producing the full report
@@ -605,16 +613,10 @@ impl AdaptiveFingerprinter {
     /// takes: the concurrent shard fan-out, the ordered-commit merge,
     /// then the vote.
     pub(crate) fn decide(&self, embedding: &[f32]) -> ScoredPrediction {
-        debug_assert_eq!(
-            self.store.metric(),
-            self.knn.metric,
-            "store metric disagrees with classifier metric"
-        );
-        rank_search(self.store.search_concurrent(
-            embedding,
-            self.knn.k,
-            self.query_workers_or_default(),
-        ))
+        rank_search(
+            self.store
+                .search_concurrent(embedding, self.k, self.query_workers),
+        )
     }
 
     /// Batch form of [`AdaptiveFingerprinter::decide`]: the
@@ -622,7 +624,7 @@ impl AdaptiveFingerprinter {
     /// Bit-identical to deciding each embedding alone.
     pub(crate) fn decide_all(&self, embeddings: &[Vec<f32>]) -> Vec<ScoredPrediction> {
         self.store
-            .search_batch_concurrent(embeddings, self.knn.k, self.query_workers_or_default())
+            .search_batch_concurrent(embeddings, self.k, self.query_workers)
             .into_iter()
             .map(rank_search)
             .collect()
@@ -644,22 +646,6 @@ impl AdaptiveFingerprinter {
     /// Returns [`CoreError::Serialization`] on failure.
     pub fn from_json(json: &str) -> Result<Self> {
         serde_json::from_str(json).map_err(|e| CoreError::Serialization(e.to_string()))
-    }
-
-    fn threads_or_default(&self) -> usize {
-        if self.threads == 0 {
-            tlsfp_nn::parallel::default_threads()
-        } else {
-            self.threads
-        }
-    }
-
-    fn query_workers_or_default(&self) -> usize {
-        if self.query_workers == 0 {
-            tlsfp_nn::parallel::default_threads()
-        } else {
-            self.query_workers
-        }
     }
 }
 
@@ -930,6 +916,12 @@ mod tests {
         cfg.k = 0;
         assert!(matches!(
             AdaptiveFingerprinter::provision(&ds, &cfg, 0),
+            Err(CoreError::BadConfig(_))
+        ));
+        // So does k = 0 around an already-trained model.
+        let embedder = SequenceEmbedder::new(cfg.embedder, 0).unwrap();
+        assert!(matches!(
+            AdaptiveFingerprinter::from_trained(embedder, 0, 1),
             Err(CoreError::BadConfig(_))
         ));
     }

@@ -46,7 +46,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use tlsfp_net::capture::{Capture, Packet};
-use tlsfp_nn::embedding::{EmbedStream, SequenceEmbedder, StreamWeights};
+use tlsfp_nn::embedding::{EmbedStream, EmbedWeightsT, SequenceEmbedder};
 use tlsfp_trace::sequence::IpSequences;
 use tlsfp_trace::tensorize::TensorConfig;
 
@@ -153,7 +153,7 @@ pub struct StreamingSession {
     /// mirroring tensorize's truncation).
     folded: usize,
     /// Frozen transposed weights shared across sessions.
-    weights: Arc<StreamWeights>,
+    weights: Arc<EmbedWeightsT>,
     /// The live LSTM fold over sealed steps.
     stream: EmbedStream,
     /// Scratch row for one tensor step.

@@ -8,16 +8,16 @@
 //!   ([`SCAN_CHUNK_ROWS`] at a time), keeping the query vector hot
 //!   while each block streams through.
 //! - Per-distance accumulation uses the `tlsfp-nn` kernels, and the
-//!   k-selection heap is keyed on distance alone, so [`flat_search`]
-//!   reproduces a naive insertion-order scan bit for bit — scores,
-//!   selected neighbors and the heap's output order. The
+//!   k-selection heap is keyed on distance alone, so the scan kernel
+//!   ([`crate::kernels::flat_search_block`]; a single query is a block
+//!   of one) reproduces a naive insertion-order scan bit for bit —
+//!   scores, selected neighbors and the heap's output order. The
 //!   `tests/index_serving.rs` oracle holds this line.
 //!
 //! Results come back in heap order; the sharded store's merge sorts
 //! them by `(dist, id)` like every other backend's.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -49,20 +49,15 @@ pub struct FlatIndex {
 /// (boundary ties keep the earlier-scanned row). The `id`/`label`
 /// payload never participates in comparisons, so heap layout and
 /// iteration order replay the pre-index implementation exactly.
-/// Crate-visible so the blocked kernel ([`crate::kernels`]) can replay
-/// the same comparison sequence per query.
+/// Crate-visible for the scan kernel ([`crate::kernels`]).
 #[derive(PartialEq)]
-pub(crate) struct FlatHeapEntry {
-    pub(crate) dist: f32,
-    pub(crate) id: u64,
-    pub(crate) label: usize,
-}
+pub(crate) struct FlatHeapEntry(pub(crate) Neighbor);
 
 impl Eq for FlatHeapEntry {}
 
 impl Ord for FlatHeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.dist.total_cmp(&other.dist)
+        self.0.dist.total_cmp(&other.0.dist)
     }
 }
 
@@ -109,68 +104,6 @@ impl FlatIndex {
     }
 }
 
-/// The exact scan every backend's accuracy is measured against: walks
-/// `rows` in order in [`SCAN_CHUNK_ROWS`]-row blocks, keeping the best
-/// `k` in a bounded max-heap keyed on distance alone.
-///
-/// Returned neighbors are in heap iteration order (arbitrary but
-/// deterministic), matching a naive insertion-order scan bit for bit;
-/// the `nearest` field is the true minimum distance over all rows.
-pub fn flat_search(
-    rows: Rows<'_>,
-    labels: &[usize],
-    metric: Metric,
-    query: &[f32],
-    k: usize,
-) -> SearchResult {
-    debug_assert_eq!(rows.len(), labels.len(), "one label per row");
-    if rows.is_empty() {
-        // Mirror the historical scan: an empty reference still "ran",
-        // with an infinite outlier score and no votes.
-        return SearchResult::empty();
-    }
-    let k = k.min(rows.len()).max(1);
-    let mut heap: BinaryHeap<FlatHeapEntry> = BinaryHeap::with_capacity(k + 1);
-    let mut nearest = f32::INFINITY;
-    let mut evals = 0u64;
-    let dim = rows.dim().max(1);
-    let block = SCAN_CHUNK_ROWS * dim;
-    let mut id = 0u64;
-    for chunk in rows.data().chunks(block) {
-        for row in chunk.chunks_exact(dim) {
-            let dist = metric.eval(query, row);
-            evals += 1;
-            nearest = nearest.min(dist);
-            let entry = FlatHeapEntry {
-                dist,
-                id,
-                label: labels[id as usize],
-            };
-            if heap.len() < k {
-                heap.push(entry);
-            } else if let Some(worst) = heap.peek() {
-                if dist < worst.dist {
-                    heap.pop();
-                    heap.push(entry);
-                }
-            }
-            id += 1;
-        }
-    }
-    SearchResult {
-        neighbors: heap
-            .into_iter()
-            .map(|e| Neighbor {
-                id: e.id,
-                label: e.label,
-                dist: e.dist,
-            })
-            .collect(),
-        nearest,
-        distance_evals: evals,
-    }
-}
-
 impl VectorIndex for FlatIndex {
     fn dim(&self) -> usize {
         self.dim
@@ -184,16 +117,10 @@ impl VectorIndex for FlatIndex {
         self.metric
     }
 
-    fn search(&self, query: &[f32], k: usize) -> SearchResult {
-        let result = flat_search(self.rows(), &self.labels, self.metric, query, k);
-        crate::record_backend_search!("flat", result);
-        result
-    }
-
     /// The blocked exact scan ([`crate::kernels::flat_search_block`]):
     /// each row tile is loaded once per block and evaluated against
-    /// every query while hot in cache. Per query, bit-identical to
-    /// [`FlatIndex::search`] — heap output order included.
+    /// every query while hot in cache, every query's heap fed its rows
+    /// in ascending row order.
     fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
         let results =
             crate::kernels::flat_search_block(self.rows(), &self.labels, self.metric, queries, k);

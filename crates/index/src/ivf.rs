@@ -150,7 +150,7 @@ impl IvfIndex {
             next_id: 0,
         };
         for (i, row) in rows.iter().enumerate() {
-            let li = index.nearest_centroid(row);
+            let li = nearest_centroid(&index.centroids, dim, metric, row);
             let list = &mut index.lists[li];
             list.ids.push(index.next_id);
             list.labels.push(labels[i]);
@@ -205,20 +205,25 @@ impl IvfIndex {
             skew: if mean > 0.0 { max as f64 / mean } else { 0.0 },
         }
     }
+}
 
-    /// Index of the centroid nearest to `row` (ties break low).
-    fn nearest_centroid(&self, row: &[f32]) -> usize {
-        let mut best = 0usize;
-        let mut best_dist = f32::INFINITY;
-        for (ci, centroid) in self.centroids.chunks_exact(self.dim.max(1)).enumerate() {
-            let d = self.metric.eval(row, centroid);
-            if d < best_dist {
-                best_dist = d;
-                best = ci;
-            }
+/// Index of the centroid (a `dim`-wide row of `centroids`) nearest to
+/// `row`; ties break low. The one assignment rule for IVF list
+/// placement, Lloyd's iteration and PQ encoding.
+pub(crate) fn nearest_centroid(
+    centroids: &[f32],
+    dim: usize,
+    metric: Metric,
+    row: &[f32],
+) -> usize {
+    let mut best = (0usize, f32::INFINITY);
+    for (ci, centroid) in centroids.chunks_exact(dim.max(1)).enumerate() {
+        let d = metric.eval(row, centroid);
+        if d < best.1 {
+            best = (ci, d);
         }
-        best
     }
+    best.0
 }
 
 /// Balance-repair rounds run after the main Lloyd loop.
@@ -299,15 +304,7 @@ fn lloyd(
         // Assign.
         let mut changed = false;
         for (i, row) in rows.iter().enumerate() {
-            let mut best = 0usize;
-            let mut best_dist = f32::INFINITY;
-            for (ci, centroid) in centroids.chunks_exact(dim.max(1)).enumerate() {
-                let d = metric.eval(row, centroid);
-                if d < best_dist {
-                    best_dist = d;
-                    best = ci;
-                }
-            }
+            let best = nearest_centroid(centroids, dim, metric, row);
             if assignment[i] != best {
                 assignment[i] = best;
                 changed = true;
@@ -353,84 +350,18 @@ impl VectorIndex for IvfIndex {
         self.metric
     }
 
-    fn search(&self, query: &[f32], k: usize) -> SearchResult {
-        let total = self.len();
-        if total == 0 {
-            return SearchResult::empty();
-        }
-        let dim = self.dim.max(1);
-        let mut evals = 0u64;
-
-        // Rank centroids by (distance, index) — deterministic probe
-        // order whatever the list layout.
-        let mut ranked: Vec<(f32, usize)> = self
-            .centroids
-            .chunks_exact(dim)
-            .enumerate()
-            .map(|(ci, centroid)| {
-                evals += 1;
-                (self.metric.eval(query, centroid), ci)
-            })
-            .collect();
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        let probe = self.n_probe.min(ranked.len());
-        let k = k.min(total).max(1);
-        let mut heap: BinaryHeap<SelectEntry> = BinaryHeap::with_capacity(k + 1);
-        let mut nearest = f32::INFINITY;
-        for &(_, li) in &ranked[..probe] {
-            let list = &self.lists[li];
-            for (j, row) in list.data.chunks_exact(dim).enumerate() {
-                let dist = self.metric.eval(query, row);
-                evals += 1;
-                nearest = nearest.min(dist);
-                let entry = SelectEntry {
-                    dist,
-                    id: list.ids[j],
-                    label: list.labels[j],
-                };
-                if heap.len() < k {
-                    heap.push(entry);
-                } else if let Some(worst) = heap.peek() {
-                    if entry < *worst {
-                        heap.pop();
-                        heap.push(entry);
-                    }
-                }
-            }
-        }
-        let result = SearchResult {
-            // Ascending (dist, id): canonical, deterministic.
-            neighbors: heap
-                .into_sorted_vec()
-                .into_iter()
-                .map(|e| Neighbor {
-                    id: e.id,
-                    label: e.label,
-                    dist: e.dist,
-                })
-                .collect(),
-            nearest,
-            distance_evals: evals,
-        };
-        crate::record_backend_search!("ivf", result);
-        if tlsfp_telemetry::enabled() {
-            tlsfp_telemetry::histogram!("tlsfp_ivf_probes", "Inverted lists probed per IVF query")
-                .observe(probe as u64);
-        }
-        result
-    }
-
-    /// Shared-probe blocked scan: each query ranks the centroids
-    /// exactly as [`IvfIndex::search`] does, then queries subscribing
-    /// to the same inverted list scan it *together*, tile by tile, so
-    /// a hot list's rows are loaded once per block instead of once per
-    /// subscriber. Selection goes through the same `(dist, id)`-ordered
-    /// bounded heap per query; because that order is total and ids are
-    /// distinct, the selected set — and the `into_sorted_vec` output —
-    /// is independent of the order lists are visited in, so results
-    /// are bit-identical to the per-query path (eval counts included:
-    /// every centroid plus every row of the query's probed lists).
+    /// Shared-probe blocked scan — the IVF backend's one scan. Each
+    /// query ranks the centroids by `(distance, index)` and probes its
+    /// `n_probe` nearest lists; queries subscribing to the same list
+    /// scan it *together*, tile by tile, so a hot list's rows are
+    /// loaded once per block instead of once per subscriber. Lists are
+    /// visited in first-probe order (nearest first for a block of one).
+    /// Selection goes through a `(dist, id)`-ordered bounded heap per
+    /// query; because that order is total and ids are distinct, the
+    /// selected set — and the `into_sorted_vec` output — is independent
+    /// of the order lists are visited in and of the block. A query
+    /// costs one eval per centroid plus one per row of its probed
+    /// lists.
     fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
         let total = self.len();
         let nq = queries.len();
@@ -442,44 +373,44 @@ impl VectorIndex for IvfIndex {
         }
         let dim = self.dim.max(1);
         let k = k.min(total).max(1);
+        let n_centroids = self.centroids.len() / dim;
+        let probe = self.n_probe.min(n_centroids);
 
-        // Per-query centroid ranking (identical to the serial path),
-        // inverted into per-list subscriber sets. Subscribers are
-        // pushed in ascending query order, so the scan below is
-        // deterministic; per-query results don't depend on it anyway.
-        let mut evals = vec![0u64; nq];
-        let mut probes = vec![0usize; nq];
-        let mut subscribers: Vec<Vec<usize>> = vec![Vec::new(); self.lists.len()];
+        // Every query's probed lists as `(list, query)` pairs in one
+        // buffer, then grouped by list in first-probe order; the stable
+        // sort keeps each list's subscribers in ascending query order.
+        let mut evals = vec![n_centroids as u64; nq];
+        let mut ranked: Vec<(f32, usize)> = Vec::with_capacity(n_centroids);
+        let mut probes: Vec<(usize, usize)> = Vec::with_capacity(nq * probe);
         for (qi, query) in queries.iter().enumerate() {
-            let mut ranked: Vec<(f32, usize)> = self
-                .centroids
-                .chunks_exact(dim)
-                .enumerate()
-                .map(|(ci, centroid)| {
-                    evals[qi] += 1;
-                    (self.metric.eval(query, centroid), ci)
-                })
-                .collect();
+            ranked.clear();
+            ranked.extend(
+                self.centroids
+                    .chunks_exact(dim)
+                    .enumerate()
+                    .map(|(ci, centroid)| (self.metric.eval(query, centroid), ci)),
+            );
             ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let probe = self.n_probe.min(ranked.len());
-            probes[qi] = probe;
-            for &(_, li) in &ranked[..probe] {
-                subscribers[li].push(qi);
-            }
+            probes.extend(ranked[..probe].iter().map(|&(_, li)| (li, qi)));
         }
+        let mut first = vec![usize::MAX; n_centroids];
+        for (at, &(li, _)) in probes.iter().enumerate() {
+            first[li] = first[li].min(at);
+        }
+        probes.sort_by_key(|&(li, _)| first[li]);
 
         let mut heaps: Vec<BinaryHeap<SelectEntry>> =
             (0..nq).map(|_| BinaryHeap::with_capacity(k + 1)).collect();
         let mut nearest = vec![f32::INFINITY; nq];
         let tile = crate::flat::SCAN_CHUNK_ROWS * dim;
-        for (li, subs) in subscribers.iter().enumerate() {
-            if subs.is_empty() {
-                continue;
-            }
+        let mut rest = &probes[..];
+        while let Some(&(li, _)) = rest.first() {
+            let (subs, tail) = rest.split_at(rest.partition_point(|p| p.0 == li));
+            rest = tail;
             let list = &self.lists[li];
             for (ti, chunk) in list.data.chunks(tile).enumerate() {
                 let base = ti * crate::flat::SCAN_CHUNK_ROWS;
-                for &qi in subs {
+                for &(_, qi) in subs {
                     let query = &queries[qi];
                     let heap = &mut heaps[qi];
                     for (off, row) in chunk.chunks_exact(dim).enumerate() {
@@ -487,19 +418,12 @@ impl VectorIndex for IvfIndex {
                         let dist = self.metric.eval(query, row);
                         evals[qi] += 1;
                         nearest[qi] = nearest[qi].min(dist);
-                        let entry = SelectEntry {
+                        SelectEntry(Neighbor {
                             dist,
                             id: list.ids[j],
                             label: list.labels[j],
-                        };
-                        if heap.len() < k {
-                            heap.push(entry);
-                        } else if let Some(worst) = heap.peek() {
-                            if entry < *worst {
-                                heap.pop();
-                                heap.push(entry);
-                            }
-                        }
+                        })
+                        .offer(heap, k);
                     }
                 }
             }
@@ -511,15 +435,7 @@ impl VectorIndex for IvfIndex {
             .enumerate()
             .map(|(qi, heap)| {
                 let result = SearchResult {
-                    neighbors: heap
-                        .into_sorted_vec()
-                        .into_iter()
-                        .map(|e| Neighbor {
-                            id: e.id,
-                            label: e.label,
-                            dist: e.dist,
-                        })
-                        .collect(),
+                    neighbors: heap.into_sorted_vec().into_iter().map(|e| e.0).collect(),
                     nearest: nearest[qi],
                     distance_evals: evals[qi],
                 };
@@ -529,7 +445,7 @@ impl VectorIndex for IvfIndex {
                         "tlsfp_ivf_probes",
                         "Inverted lists probed per IVF query"
                     )
-                    .observe(probes[qi] as u64);
+                    .observe(probe as u64);
                 }
                 result
             })
@@ -538,7 +454,7 @@ impl VectorIndex for IvfIndex {
 
     fn add(&mut self, label: usize, vector: &[f32]) {
         assert_eq!(vector.len(), self.dim, "vector dim mismatch");
-        let li = self.nearest_centroid(vector);
+        let li = nearest_centroid(&self.centroids, self.dim, self.metric, vector);
         let id = self.next_id;
         self.next_id += 1;
         let list = &mut self.lists[li];
@@ -617,6 +533,43 @@ mod tests {
             }
         }
         (data, labels)
+    }
+
+    /// The naive reference: one query, the `n_probe` nearest lists by
+    /// `(distance, index)`, every candidate sorted — no heap, no tiling,
+    /// no telemetry.
+    fn naive_ivf(ix: &IvfIndex, query: &[f32], k: usize) -> SearchResult {
+        let mut ranked: Vec<(f32, usize)> = ix
+            .centroids
+            .chunks_exact(ix.dim)
+            .map(|centroid| ix.metric.eval(query, centroid))
+            .zip(0..)
+            .collect();
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut candidates = Vec::new();
+        for &(_, li) in &ranked[..ix.n_probe] {
+            let list = &ix.lists[li];
+            for (j, row) in list.data.chunks_exact(ix.dim).enumerate() {
+                let dist = ix.metric.eval(query, row);
+                let (id, label) = (list.ids[j], list.labels[j]);
+                candidates.push(Neighbor { id, label, dist });
+            }
+        }
+        let evals = ranked.len() + candidates.len();
+        crate::kernels::sorted_result(candidates, k, evals)
+    }
+
+    #[test]
+    fn kernel_matches_the_naive_reference() {
+        let (data, labels, queries) = crate::kernels::planted_duplicates(150, 4, 7, 9, 5);
+        let rows = Rows::new(4, &data);
+        let mut ix = IvfIndex::build(IvfParams::new(6, 2), Metric::Euclidean, rows, &labels);
+        crate::kernels::assert_kernel_matches(&ix, &queries, |q, k| naive_ivf(&ix, q, k));
+        // After churn ids no longer follow list positions.
+        ix.swap_label(3, Rows::new(4, &data[..40]));
+        crate::kernels::assert_kernel_matches(&ix, &queries, |q, k| naive_ivf(&ix, q, k));
+        ix.set_n_probe(ix.n_lists());
+        crate::kernels::assert_kernel_matches(&ix, &queries, |q, k| naive_ivf(&ix, q, k));
     }
 
     #[test]

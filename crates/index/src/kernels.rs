@@ -1,41 +1,39 @@
-//! Query-blocked batch scan kernels: amortize the store scan across a
-//! whole block of queries.
-//!
-//! A per-query scan streams every stored row through memory once *per
-//! query*: a 64-trace batch reads the store 64 times, and at serving
-//! scale the scan is memory-bandwidth-bound, not arithmetic-bound (the
-//! PQ experiments showed this first). The fix is the same register/
-//! cache blocking `tlsfp-nn`'s `matmul_t` applies on the training side:
-//! walk the store in [`crate::flat::SCAN_CHUNK_ROWS`]-row tiles × Q-query
+//! Query-blocked scan kernels — each backend's one scan
+//! ([`crate::VectorIndex::search_block`]); a single query is a block of
+//! one. Scanning query by query would stream every stored row through
+//! memory once *per query*: a 64-trace batch reads the store 64 times,
+//! and at serving scale the scan is memory-bandwidth-bound (the PQ
+//! experiments showed this first). The fix is the register/cache
+//! blocking `tlsfp-nn`'s `matmul_t` applies on the training side: walk
+//! the store in [`crate::flat::SCAN_CHUNK_ROWS`]-row tiles × Q-query
 //! blocks, so each row tile is loaded once per block and evaluated
 //! against every query in the block while it is hot in L1.
 //!
-//! # The bit-identity contract
+//! # Block composition never changes a result
 //!
 //! Blocking reorders *which (query, row) pair is evaluated when* — it
 //! never reorders the arithmetic inside a pair. Each pair keeps a
 //! single accumulator evaluated by the same [`crate::Metric::eval`]
-//! call in the same row order per query, so every distance comes out
-//! bit-identical to the serial path. Selection state is per-query
-//! (heap, `nearest` fold, eval counter), and each backend's kernel
-//! replays its serial selection rule exactly:
+//! call in the same row order per query, and selection state is
+//! per-query (heap, `nearest` fold, eval counter):
 //!
 //! - **flat** ([`flat_search_block`]): rows are fed to each query's
-//!   dist-only heap in ascending row order — the identical comparison
-//!   sequence — so even the heap's *iteration order* is preserved.
-//! - **IVF/PQ** (overrides in their own modules): candidates go through
-//!   a `SelectEntry` heap whose `(dist, id)` total order makes
-//!   the selected set insertion-order-independent, and results are
-//!   emitted via `into_sorted_vec` — canonical whatever order lists or
-//!   tiles were visited in.
+//!   dist-only heap in ascending row order — the comparison sequence of
+//!   a naive insertion-order scan — so even the heap's *iteration
+//!   order* is independent of the block.
+//! - **IVF/PQ** (in their own modules): candidates go through a
+//!   `SelectEntry` heap whose `(dist, id)` total order makes the
+//!   selected set insertion-order-independent, and results are emitted
+//!   via `into_sorted_vec` — canonical whatever order lists or tiles
+//!   were visited in.
 //!
-//! Every batch path scans at [`auto_query_block`]; the block size never
-//! changes a result. The proptests in `tests/batch_scan_props.rs` pin
-//! blocked results to the per-query loop bit-for-bit (distances, ids,
-//! labels, neighbor order, eval counts) across backends, block sizes
-//! and thread counts. Backends keep their own neighbor order; the
-//! sharded store's merge is what puts every query's neighbors in
-//! `(dist, id)` order.
+//! Every batch path scans at [`auto_query_block`]. Unit tests hold each
+//! kernel against a naive reference (untiled, one query at a time,
+//! without telemetry), and the proptests in `tests/batch_scan_props.rs`
+//! pin results across block sizes and thread counts bit for bit
+//! (distances, ids, labels, neighbor order, eval counts). Backends keep
+//! their own neighbor order; the sharded store's merge is what puts
+//! every query's neighbors in `(dist, id)` order.
 
 use std::collections::BinaryHeap;
 
@@ -83,11 +81,10 @@ pub(crate) use record_block_size;
 
 /// The blocked exact scan: one pass over `rows` in
 /// [`SCAN_CHUNK_ROWS`]-row tiles, each tile evaluated against every
-/// query in the block while hot in cache. Per query, the result is
-/// **bit-identical** to [`crate::flat::flat_search`] — same distances,
-/// same bounded dist-only heap replaying the same comparison sequence
-/// (rows arrive in ascending row order per query), same heap iteration
-/// order in the output.
+/// query in the block while hot in cache. Per query, a bounded max-heap
+/// keyed on distance alone is fed rows in ascending row order, so the
+/// result — heap iteration order included — is **bit-identical** to a
+/// naive insertion-order scan; `nearest` is the minimum over all rows.
 pub fn flat_search_block(
     rows: Rows<'_>,
     labels: &[usize],
@@ -116,15 +113,15 @@ pub fn flat_search_block(
             for (id, row) in (base..).zip(chunk.chunks_exact(dim)) {
                 let dist = metric.eval(query, row);
                 nearest[qi] = nearest[qi].min(dist);
-                let entry = FlatHeapEntry {
+                let entry = FlatHeapEntry(Neighbor {
                     dist,
                     id,
                     label: labels[id as usize],
-                };
+                });
                 if heap.len() < k {
                     heap.push(entry);
                 } else if let Some(worst) = heap.peek() {
-                    if dist < worst.dist {
+                    if dist < worst.0.dist {
                         heap.pop();
                         heap.push(entry);
                     }
@@ -137,27 +134,106 @@ pub fn flat_search_block(
         .into_iter()
         .zip(nearest)
         .map(|(heap, nearest)| SearchResult {
-            neighbors: heap
-                .into_iter()
-                .map(|e| Neighbor {
-                    id: e.id,
-                    label: e.label,
-                    dist: e.dist,
-                })
-                .collect(),
+            neighbors: heap.into_iter().map(|e| e.0).collect(),
             nearest,
             distance_evals: rows.len() as u64,
         })
         .collect()
 }
 
+/// A kernel test corpus with planted exact duplicates: row `i` repeats
+/// row `i % (n / 2)` on a coarse grid, so distance ties between
+/// distinct ids are certain, labeled `i % classes`; plus `n_queries`
+/// queries on the same grid.
 #[cfg(test)]
-mod tests {
+pub(crate) fn planted_duplicates(
+    n: usize,
+    dim: usize,
+    classes: usize,
+    n_queries: usize,
+    seed: u64,
+) -> (Vec<f32>, Vec<usize>, Vec<Vec<f32>>) {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    let grid = |rng: &mut StdRng| rng.random_range(0u32..4) as f32 * 0.5;
+    let mut data = Vec::with_capacity(n * dim);
+    for i in 0..n {
+        let mut row_rng = StdRng::seed_from_u64(seed ^ (i % (n / 2).max(1)) as u64);
+        data.extend((0..dim).map(|_| grid(&mut row_rng)));
+    }
+    let labels = (0..n).map(|i| i % classes).collect();
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x5EED));
+    let queries = (0..n_queries)
+        .map(|_| (0..dim).map(|_| grid(&mut rng)).collect())
+        .collect();
+    (data, labels, queries)
+}
 
+/// Asserts `index`'s scan kernel equals `reference` (a naive
+/// one-query scan) for every query, at block sizes {1, 3, all} and `k`
+/// from 1 to past the index size.
+#[cfg(test)]
+pub(crate) fn assert_kernel_matches(
+    index: &dyn crate::VectorIndex,
+    queries: &[Vec<f32>],
+    reference: impl Fn(&[f32], usize) -> SearchResult,
+) {
+    for k in [1usize, 3, 10, index.len() + 5] {
+        for block in [1usize, 3, queries.len()] {
+            let got = queries.chunks(block).flat_map(|b| index.search_block(b, k));
+            for (q, got) in queries.iter().zip(got) {
+                assert_eq!(got, reference(q, k), "k={k} block={block}");
+            }
+        }
+    }
+}
+
+/// A naive reference's result from every candidate it scanned: the
+/// candidates in `(dist, id)` order cut to `k`, and the nearest one's
+/// distance.
+#[cfg(test)]
+pub(crate) fn sorted_result(mut candidates: Vec<Neighbor>, k: usize, evals: usize) -> SearchResult {
+    candidates.sort_by(crate::by_dist_id);
+    let nearest = candidates.first().map_or(f32::INFINITY, |n| n.dist);
+    candidates.truncate(k.max(1));
+    SearchResult {
+        neighbors: candidates,
+        nearest,
+        distance_evals: evals as u64,
+    }
+}
+
+#[cfg(test)]
+mod tests {
     use super::*;
-    use crate::flat::flat_search;
+    use crate::FlatIndex;
+
+    /// The naive reference: one query, rows in insertion order with no
+    /// tiling, into the same dist-only heap rule.
+    fn naive_flat(rows: Rows<'_>, labels: &[usize], query: &[f32], k: usize) -> SearchResult {
+        let mut heap = BinaryHeap::new();
+        let mut nearest = f32::INFINITY;
+        for (i, row) in rows.iter().enumerate() {
+            let dist = Metric::Euclidean.eval(query, row);
+            nearest = nearest.min(dist);
+            let entry = FlatHeapEntry(Neighbor {
+                dist,
+                id: i as u64,
+                label: labels[i],
+            });
+            if heap.len() < k.max(1) {
+                heap.push(entry);
+            } else if heap.peek().is_some_and(|w: &FlatHeapEntry| dist < w.0.dist) {
+                heap.pop();
+                heap.push(entry);
+            }
+        }
+        SearchResult {
+            neighbors: heap.into_iter().map(|e| e.0).collect(),
+            nearest,
+            distance_evals: rows.len() as u64,
+        }
+    }
 
     #[test]
     fn auto_query_block_splits_across_workers() {
@@ -172,36 +248,12 @@ mod tests {
     }
 
     #[test]
-    fn blocked_flat_scan_is_bit_identical_to_serial() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let dim = 5;
-        // Several tiles' worth of rows, with exact duplicates so
-        // boundary distance ties actually occur.
-        let n = 2 * SCAN_CHUNK_ROWS + 17;
-        let mut data = Vec::with_capacity(n * dim);
-        for i in 0..n {
-            let src = i % (n / 2);
-            let mut row_rng = StdRng::seed_from_u64(src as u64);
-            for _ in 0..dim {
-                data.push((row_rng.random_range(0u32..4) as f32) * 0.5);
-            }
-        }
-        let labels: Vec<usize> = (0..n).map(|i| i % 7).collect();
-        let rows = Rows::new(dim, &data);
-        let queries: Vec<Vec<f32>> = (0..9)
-            .map(|_| {
-                (0..dim)
-                    .map(|_| (rng.random_range(0u32..4) as f32) * 0.5)
-                    .collect()
-            })
-            .collect();
-        for k in [1usize, 3, 10, n + 5] {
-            let blocked = flat_search_block(rows, &labels, Metric::Euclidean, &queries, k);
-            for (q, got) in queries.iter().zip(&blocked) {
-                let want = flat_search(rows, &labels, Metric::Euclidean, q, k);
-                assert_eq!(got, &want, "blocked flat scan diverged at k={k}");
-            }
-        }
+    fn flat_kernel_matches_the_naive_reference() {
+        // Several tiles' worth of rows, so ties straddle tile edges.
+        let (data, labels, queries) = planted_duplicates(2 * SCAN_CHUNK_ROWS + 17, 5, 7, 9, 42);
+        let rows = Rows::new(5, &data);
+        let ix = FlatIndex::from_rows(Metric::Euclidean, rows, &labels);
+        assert_kernel_matches(&ix, &queries, |q, k| naive_flat(rows, &labels, q, k));
     }
 
     #[test]

@@ -44,13 +44,14 @@
 #![warn(missing_docs)]
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
 use tlsfp_nn::parallel::map_elems;
 use tlsfp_nn::tensor::{cosine_distance, euclidean_sq};
 
-/// Records one `search` call into the per-backend registry counters
+/// Records one query's result into the per-backend registry counters
 /// (`tlsfp_queries_total` / `tlsfp_distance_evals_total`, labeled
 /// `backend=...`) — the promotion of `SearchResult::distance_evals`
 /// into aggregate telemetry. `$backend` must be a literal: the handle
@@ -180,10 +181,7 @@ impl SearchResult {
     /// assert_eq!((top.label, top.id), (0, 0));
     /// ```
     pub fn top(&self) -> Option<Neighbor> {
-        self.neighbors
-            .iter()
-            .copied()
-            .min_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)))
+        self.neighbors.iter().copied().min_by(by_dist_id)
     }
 }
 
@@ -222,16 +220,22 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
     /// The distance metric in use.
     fn metric(&self) -> Metric;
 
-    /// Finds the `k` nearest stored vectors to `query`.
-    fn search(&self, query: &[f32], k: usize) -> SearchResult;
-
     /// Serves one contiguous *block* of queries in a single scan pass —
-    /// the cache-blocked kernel unit (see [`kernels`]). Runs on the
-    /// calling thread; [`VectorIndex::search_batch`] shards blocks
-    /// across workers. Each query's result must be
-    /// **bit-identical** to [`VectorIndex::search`]: a blocked scan
-    /// that preserves per-(query, row) accumulation order.
+    /// the cache-blocked kernel (see [`kernels`]) and the one scan each
+    /// backend implements. Runs on the calling thread;
+    /// [`VectorIndex::search_batch`] shards blocks across workers. Each
+    /// query's result must not depend on the block it arrives in: the
+    /// kernel preserves per-(query, row) accumulation order and keeps
+    /// selection state per query.
     fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult>;
+
+    /// Finds the `k` nearest stored vectors to `query`: a block of one
+    /// through [`VectorIndex::search_block`].
+    fn search(&self, query: &[f32], k: usize) -> SearchResult {
+        self.search_block(&[query.to_vec()], k)
+            .pop()
+            .expect("one result per query")
+    }
 
     /// Query-blocked batch search: splits `queries` into contiguous
     /// blocks of [`kernels::auto_query_block`] queries, fans the blocks
@@ -244,11 +248,7 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
         if queries.is_empty() {
             return Vec::new();
         }
-        let threads = if threads == 0 {
-            tlsfp_nn::parallel::default_threads()
-        } else {
-            threads
-        };
+        let threads = tlsfp_nn::parallel::resolve_threads(threads);
         let block = kernels::auto_query_block(queries.len(), threads);
         let blocks: Vec<&[Vec<f32>]> = queries.chunks(block).collect();
         map_elems(&blocks, threads, |b| self.search_block(b, k))
@@ -432,24 +432,38 @@ pub fn compact_remove_label(
     removed
 }
 
-/// A max-heap entry ordered by `(dist, id)` — deterministic k-smallest
+/// The canonical neighbor order: `(dist, id)` ascending, distances
+/// under `total_cmp` — total, so it never depends on scan order.
+pub(crate) fn by_dist_id(a: &Neighbor, b: &Neighbor) -> Ordering {
+    a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
+}
+
+/// A max-heap entry in [`by_dist_id`] order — deterministic k-smallest
 /// selection whatever order candidates are scanned in. Backends that
 /// must reproduce the historical scan bit-for-bit (flat) use their own
 /// dist-only ordering instead.
 #[derive(PartialEq)]
-pub(crate) struct SelectEntry {
-    pub dist: f32,
-    pub id: u64,
-    pub label: usize,
+pub(crate) struct SelectEntry(pub Neighbor);
+
+impl SelectEntry {
+    /// Offers this candidate to `heap`, which keeps the `cap` smallest
+    /// seen so far.
+    pub(crate) fn offer(self, heap: &mut BinaryHeap<SelectEntry>, cap: usize) {
+        if heap.len() < cap {
+            heap.push(self);
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if self < *worst {
+                *worst = self;
+            }
+        }
+    }
 }
 
 impl Eq for SelectEntry {}
 
 impl Ord for SelectEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then(self.id.cmp(&other.id))
+        by_dist_id(&self.0, &other.0)
     }
 }
 

@@ -259,16 +259,8 @@ impl PqIndex {
         for j in 0..m {
             let cb = &self.codebooks[j * ksub * sub_dim..(j + 1) * ksub * sub_dim];
             let sv = &row[j * sub_dim..(j + 1) * sub_dim];
-            let mut best = 0usize;
-            let mut best_dist = f32::INFINITY;
-            for (ci, centroid) in cb.chunks_exact(sub_dim.max(1)).enumerate() {
-                let d = euclidean_sq(sv, centroid);
-                if d < best_dist {
-                    best_dist = d;
-                    best = ci;
-                }
-            }
-            self.codes.push(best as u8);
+            let code = crate::ivf::nearest_centroid(cb, sub_dim, Metric::Euclidean, sv);
+            self.codes.push(code as u8);
         }
     }
 }
@@ -286,106 +278,18 @@ impl VectorIndex for PqIndex {
         self.metric
     }
 
-    fn search(&self, query: &[f32], k: usize) -> SearchResult {
-        let n = self.len();
-        if n == 0 {
-            return SearchResult::empty();
-        }
-        let k = k.min(n).max(1);
-        let depth = self.rerank.max(k).min(n);
-        let mut evals = 0u64;
-
-        // Per-query ADC lookup table: m × ksub sub-distances between
-        // the query's sub-vectors and every sub-centroid.
-        let mut lut = vec![0.0f32; self.m * self.ksub];
-        if self.sub_dim > 0 {
-            for (j, lut_j) in lut.chunks_exact_mut(self.ksub).enumerate() {
-                let sv = &query[j * self.sub_dim..(j + 1) * self.sub_dim];
-                let cb = &self.codebooks
-                    [j * self.ksub * self.sub_dim..(j + 1) * self.ksub * self.sub_dim];
-                for (cell, centroid) in lut_j.iter_mut().zip(cb.chunks_exact(self.sub_dim)) {
-                    *cell = euclidean_sq(sv, centroid);
-                    evals += 1;
-                }
-            }
-        }
-
-        // ADC scan over the codes: each stored vector costs m table
-        // adds in fixed sub-space order (deterministic accumulation).
-        // Candidate selection keys on (approx dist, row position); ids
-        // are ascending in row order, so this is the same ordering as
-        // (approx dist, id).
-        let mut heap: BinaryHeap<SelectEntry> = BinaryHeap::with_capacity(depth + 1);
-        for (pos, code) in self.codes.chunks_exact(self.m).enumerate() {
-            let mut approx = 0.0f32;
-            for (j, &c) in code.iter().enumerate() {
-                approx += lut[j * self.ksub + c as usize];
-            }
-            let entry = SelectEntry {
-                dist: approx,
-                id: pos as u64,
-                label: self.labels[pos],
-            };
-            if heap.len() < depth {
-                heap.push(entry);
-            } else if let Some(worst) = heap.peek() {
-                if entry.cmp(worst).is_lt() {
-                    heap.pop();
-                    heap.push(entry);
-                }
-            }
-        }
-
-        // Exact re-rank of the selected candidates against the retained
-        // full-precision rows, under the configured metric. `nearest`
-        // is exact over the re-ranked candidates only — the ADC scan
-        // itself never produces a reported distance.
-        let mut reranked: Vec<Neighbor> = Vec::with_capacity(depth);
-        for entry in heap.into_sorted_vec() {
-            let pos = entry.id as usize;
-            let row = &self.data[pos * self.dim..(pos + 1) * self.dim];
-            let dist = self.metric.eval(query, row);
-            evals += 1;
-            reranked.push(Neighbor {
-                id: self.ids[pos],
-                label: self.labels[pos],
-                dist,
-            });
-        }
-        reranked.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        let nearest = reranked.first().map_or(f32::INFINITY, |top| top.dist);
-        reranked.truncate(k);
-        let result = SearchResult {
-            neighbors: reranked,
-            nearest,
-            distance_evals: evals,
-        };
-        crate::record_backend_search!("pq", result);
-        if tlsfp_telemetry::enabled() {
-            tlsfp_telemetry::counter!(
-                "tlsfp_pq_adc_table_builds_total",
-                "Per-query ADC lookup tables built"
-            )
-            .inc();
-            tlsfp_telemetry::histogram!(
-                "tlsfp_pq_rerank_depth",
-                "Exact re-rank candidates per PQ query"
-            )
-            .observe(depth as u64);
-        }
-        result
-    }
-
-    /// Blocked ADC scan: all Q lookup tables are built up front, then
-    /// one pass over the code array serves every query in the block —
-    /// each [`crate::flat::SCAN_CHUNK_ROWS`]-vector code tile (the u8
-    /// codes are the smallest, most reusable payload in the store) is
-    /// loaded once per block instead of once per query. Per query the
-    /// LUT fill order, the ADC accumulation order (fixed sub-space
-    /// order per vector), the `(dist, id)`-ordered candidate heap, and
-    /// the exact re-rank are all identical to [`PqIndex::search`], and
-    /// the heap's selected set is insertion-order-independent, so
-    /// results are bit-identical to the per-query path.
+    /// Blocked ADC scan — the PQ backend's one scan: all Q lookup
+    /// tables are built up front, then one pass over the code array
+    /// serves every query in the block — each
+    /// [`crate::flat::SCAN_CHUNK_ROWS`]-vector code tile (the u8 codes
+    /// are the smallest, most reusable payload in the store) is loaded
+    /// once per block instead of once per query. Per query, the LUT is
+    /// filled in sub-space order, each vector's ADC distance adds its
+    /// `m` table entries in fixed sub-space order, a
+    /// `(approx dist, position)`-ordered heap keeps the best
+    /// `max(rerank, k)` candidates (an insertion-order-independent
+    /// set), and those are re-ranked exactly, so no result depends on
+    /// the block.
     fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
         let n = self.len();
         let nq = queries.len();
@@ -399,8 +303,8 @@ impl VectorIndex for PqIndex {
         let depth = self.rerank.max(k).min(n);
         let mut evals = vec![0u64; nq];
 
-        // Phase 1: every query's ADC lookup table, built exactly as the
-        // serial path builds its single table.
+        // Phase 1: every query's ADC lookup table: m × ksub
+        // sub-distances between its sub-vectors and every sub-centroid.
         let lut_len = self.m * self.ksub;
         let mut luts = vec![0.0f32; nq * lut_len];
         if self.sub_dim > 0 {
@@ -419,6 +323,8 @@ impl VectorIndex for PqIndex {
         }
 
         // Phase 2: one tiled pass over the codes serving all queries.
+        // Candidates key on (approx dist, row position); ids ascend in
+        // row order, so this is the same ordering as (approx dist, id).
         let mut heaps: Vec<BinaryHeap<SelectEntry>> = (0..nq)
             .map(|_| BinaryHeap::with_capacity(depth + 1))
             .collect();
@@ -433,24 +339,20 @@ impl VectorIndex for PqIndex {
                     for (j, &c) in code.iter().enumerate() {
                         approx += lut[j * self.ksub + c as usize];
                     }
-                    let entry = SelectEntry {
+                    SelectEntry(Neighbor {
                         dist: approx,
                         id: pos as u64,
                         label: self.labels[pos],
-                    };
-                    if heap.len() < depth {
-                        heap.push(entry);
-                    } else if let Some(worst) = heap.peek() {
-                        if entry.cmp(worst).is_lt() {
-                            heap.pop();
-                            heap.push(entry);
-                        }
-                    }
+                    })
+                    .offer(heap, depth);
                 }
             }
         }
 
-        // Phase 3: per-query exact re-rank, identical to the serial path.
+        // Phase 3: per-query exact re-rank of the selected candidates
+        // against the retained full-precision rows, under the configured
+        // metric. `nearest` is exact over the re-ranked candidates only —
+        // the ADC scan itself never produces a reported distance.
         crate::kernels::record_block_size!("pq", nq);
         heaps
             .into_iter()
@@ -458,8 +360,8 @@ impl VectorIndex for PqIndex {
             .map(|(qi, heap)| {
                 let query = &queries[qi];
                 let mut reranked: Vec<Neighbor> = Vec::with_capacity(depth);
-                for entry in heap.into_sorted_vec() {
-                    let pos = entry.id as usize;
+                for SelectEntry(candidate) in heap.into_sorted_vec() {
+                    let pos = candidate.id as usize;
                     let row = &self.data[pos * self.dim..(pos + 1) * self.dim];
                     let dist = self.metric.eval(query, row);
                     evals[qi] += 1;
@@ -469,7 +371,7 @@ impl VectorIndex for PqIndex {
                         dist,
                     });
                 }
-                reranked.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+                reranked.sort_by(crate::by_dist_id);
                 let nearest = reranked.first().map_or(f32::INFINITY, |top| top.dist);
                 reranked.truncate(k);
                 let result = SearchResult {
@@ -565,6 +467,51 @@ mod tests {
             }
         }
         (data, labels)
+    }
+
+    /// The naive reference: one query's lookup table, every vector's
+    /// ADC distance, the best `max(rerank, k)` by `(approx, position)`
+    /// from a full sort, then the exact re-rank — no heap, no tiling,
+    /// no telemetry.
+    fn naive_pq(pq: &PqIndex, query: &[f32], k: usize) -> SearchResult {
+        let (ksub, sub_dim) = (pq.ksub, pq.sub_dim);
+        let lut: Vec<f32> = (0..pq.m)
+            .flat_map(|j| {
+                let sv = &query[j * sub_dim..(j + 1) * sub_dim];
+                let cb = &pq.codebooks[j * ksub * sub_dim..(j + 1) * ksub * sub_dim];
+                cb.chunks_exact(sub_dim).map(move |c| euclidean_sq(sv, c))
+            })
+            .collect();
+        let mut approx: Vec<(f32, usize)> = pq
+            .codes
+            .chunks_exact(pq.m)
+            .map(|code| (0..pq.m).fold(0.0f32, |acc, j| acc + lut[j * ksub + code[j] as usize]))
+            .zip(0..)
+            .collect();
+        approx.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        approx.truncate(pq.rerank.max(k).min(pq.len()));
+        let reranked = approx
+            .iter()
+            .map(|&(_, pos)| Neighbor {
+                id: pq.ids[pos],
+                label: pq.labels[pos],
+                dist: pq
+                    .metric
+                    .eval(query, &pq.data[pos * pq.dim..(pos + 1) * pq.dim]),
+            })
+            .collect();
+        crate::kernels::sorted_result(reranked, k, lut.len() + approx.len())
+    }
+
+    #[test]
+    fn kernel_matches_the_naive_reference() {
+        let (data, labels, queries) = crate::kernels::planted_duplicates(150, 4, 7, 9, 5);
+        let rows = Rows::new(4, &data);
+        let mut pq = PqIndex::build(PqParams::new(2, 6), Metric::Euclidean, rows, &labels);
+        crate::kernels::assert_kernel_matches(&pq, &queries, |q, k| naive_pq(&pq, q, k));
+        // After churn ids no longer follow row positions.
+        pq.swap_label(3, Rows::new(4, &data[..40]));
+        crate::kernels::assert_kernel_matches(&pq, &queries, |q, k| naive_pq(&pq, q, k));
     }
 
     #[test]

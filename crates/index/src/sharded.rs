@@ -70,16 +70,17 @@
 //!    list, the `nearest` fold and the eval counter are bit-identical
 //!    to the sequential pass at every worker count.
 //!
-//! `tlsfp-core` serves every query through
-//! [`ShardedStore::search_concurrent`] and
-//! [`ShardedStore::search_batch_concurrent`].
+//! Every query takes this one fan-out and merge:
+//! [`ShardedStore::search_concurrent`] is a batch of one through
+//! [`ShardedStore::search_batch_concurrent`], which `tlsfp-core`
+//! serves every decision through.
 
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use serde::{Deserialize, Serialize};
 
-use tlsfp_nn::parallel::map_elems;
+use tlsfp_nn::parallel::{map_elems, resolve_threads};
 use tlsfp_telemetry::Gauge;
 
 use crate::ivf::BalanceStats;
@@ -117,17 +118,6 @@ pub fn shard_of(class: usize, n_shards: usize) -> usize {
 pub fn resolve_shards(requested: usize, n_classes: usize) -> usize {
     if requested == 0 {
         ((n_classes as f64).sqrt().ceil() as usize).max(1)
-    } else {
-        requested
-    }
-}
-
-/// Resolves the worker-count knob for the concurrent query paths:
-/// `0` means auto ([`tlsfp_nn::parallel::default_threads`], which
-/// honors `TLSFP_THREADS`); any explicit value is used as-is.
-fn resolve_workers(requested: usize) -> usize {
-    if requested == 0 {
-        tlsfp_nn::parallel::default_threads()
     } else {
         requested
     }
@@ -870,7 +860,7 @@ impl ShardedStore {
                 n.id = self.global_id(s, n.id);
             }
         }
-        merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        merged.sort_by(crate::by_dist_id);
         merged.truncate(k.max(1));
         let result = SearchResult {
             neighbors: merged,
@@ -881,34 +871,26 @@ impl ShardedStore {
         result
     }
 
-    /// One query, fanned out across the shards by a pool of `workers`
-    /// threads (`0` = all cores), each worker read-locking one shard
-    /// at a time. The ordered-commit merge makes the result
-    /// bit-identical at every worker count.
+    /// One query: a batch of one through
+    /// [`ShardedStore::search_batch_concurrent`] — one (shard, block)
+    /// task per shard across `workers` threads (`0` = all cores).
     pub fn search_concurrent(&self, query: &[f32], k: usize, workers: usize) -> SearchResult {
-        let workers = resolve_workers(workers);
-        let shard_ids: Vec<usize> = (0..self.shards.len()).collect();
-        let per_shard = {
-            let _fanout = tlsfp_telemetry::stage_timer!("fanout");
-            map_elems(&shard_ids, workers, |&s| {
-                let _scan = tlsfp_telemetry::stage_timer!("shard_scan");
-                self.read_shard(s).search(query, k)
-            })
-        };
-        let _merge = tlsfp_telemetry::stage_timer!("merge");
-        self.merge_shard_results(per_shard, k)
+        self.search_batch_concurrent(&[query.to_vec()], k, workers)
+            .pop()
+            .expect("one result per query")
     }
 
-    /// The batch front door: the batch is split into contiguous
-    /// query-blocks ([`crate::kernels::auto_query_block`]) and every
-    /// *(shard, block)* pair becomes one worker task fanned out across
-    /// `workers` threads (`0` = all cores). Each worker read-locks its
-    /// shard, runs its block through the backend's blocked scan
+    /// The query front door — single queries are batches of one. The
+    /// batch is split into contiguous query-blocks
+    /// ([`crate::kernels::auto_query_block`]) and every *(shard, block)*
+    /// pair becomes one worker task fanned out across `workers` threads
+    /// (`0` = all cores). Each worker read-locks its shard, runs its
+    /// block through the backend's scan kernel
     /// ([`crate::VectorIndex::search_block`] — each row tile loaded
-    /// once per block), and releases; per-shard results then merge under the
-    /// ordered-commit rule. Results are bit-identical to calling
-    /// [`ShardedStore::search_concurrent`] per query, at every worker
-    /// count.
+    /// once per block), and releases; per-shard results then merge
+    /// under the ordered-commit rule. Each query's result is
+    /// bit-identical at every worker count and every batch
+    /// composition.
     pub fn search_batch_concurrent(
         &self,
         queries: &[Vec<f32>],
@@ -918,7 +900,7 @@ impl ShardedStore {
         if queries.is_empty() {
             return Vec::new();
         }
-        let workers = resolve_workers(workers);
+        let workers = resolve_threads(workers);
         let n_shards = self.shards.len();
         let qb = crate::kernels::auto_query_block(queries.len(), workers);
         let n_blocks = queries.len().div_ceil(qb);

@@ -1,18 +1,17 @@
-//! Property tests for the query-blocked batch scan kernels: over
-//! random ragged batches, corpora full of exact duplicate rows
-//! (guaranteed distance ties), every backend's blocked `search_block`
-//! kernel must be **bit-identical** to the per-query `search` loop —
-//! distances, ids, labels, neighbor order (the flat backend's heap
-//! iteration order included) and `distance_evals` — at block sizes
-//! {1, 3, 64, > batch}, and so must `search_batch` at its auto block
-//! size and worker counts {1, 4, 0}. Through the sharded store, the
-//! (shard × query-block) batch fan-out must equal per-query
-//! `search_concurrent` at the same worker counts.
+//! Property tests for block composition and thread invariance of the
+//! scan kernels: over random ragged batches, corpora full of exact
+//! duplicate rows (guaranteed distance ties), every backend's
+//! `search_block` must give each query the result it gets in a block of
+//! one (`search`) — distances, ids, labels, neighbor order (the flat
+//! backend's heap iteration order included) and `distance_evals` — at
+//! block sizes {1, 3, 64, > batch}, and so must `search_batch` at its
+//! auto block size and worker counts {1, 4, 0}. Through the sharded
+//! store, the batch fan-out must equal single `search_concurrent`
+//! calls at the same worker counts.
 //!
-//! This is the contract that makes the blocked kernels safe to route
-//! every batch caller through: blocking reorders which (query, row)
-//! pair is evaluated when, never the arithmetic inside a pair nor the
-//! per-query selection sequence.
+//! A block of one runs the same kernel, so these tests pin only that
+//! blocking and threading never change a result; each backend's unit
+//! tests hold its kernel against a naive reference scan.
 
 use proptest::prelude::*;
 
@@ -61,19 +60,19 @@ fn corpus(
     (data, labels, queries)
 }
 
-/// Asserts the blocked batch path is bit-identical to the per-query
-/// loop on `index`, across block sizes and worker counts.
-fn assert_blocked_matches_serial(
+/// Asserts every block composition and worker count gives each query
+/// its block-of-one result on `index`.
+fn assert_blocks_match_singles(
     index: &dyn VectorIndex,
     queries: &[Vec<f32>],
     k: usize,
     backend: &str,
 ) {
-    let serial: Vec<SearchResult> = queries.iter().map(|q| index.search(q, k)).collect();
+    let singles: Vec<SearchResult> = queries.iter().map(|q| index.search(q, k)).collect();
     // The single-block kernel itself (one scan pass for the whole batch).
     prop_assert_eq!(
         &index.search_block(queries, k),
-        &serial,
+        &singles,
         "{} search_block diverged",
         backend
     );
@@ -84,7 +83,7 @@ fn assert_blocked_matches_serial(
             .collect();
         prop_assert_eq!(
             &blocked,
-            &serial,
+            &singles,
             "{} diverged at block size {}",
             backend,
             block
@@ -94,7 +93,7 @@ fn assert_blocked_matches_serial(
     for threads in [1usize, 4, 0] {
         prop_assert_eq!(
             &index.search_batch(queries, k, threads),
-            &serial,
+            &singles,
             "{} auto-block search_batch diverged at threads={}",
             backend,
             threads
@@ -118,13 +117,13 @@ proptest! {
         let rows = Rows::new(dim, &data);
 
         let flat = FlatIndex::from_rows(Metric::Euclidean, rows, &labels);
-        assert_blocked_matches_serial(&flat, &queries, k, "flat");
+        assert_blocks_match_singles(&flat, &queries, k, "flat");
 
         let ivf = IvfIndex::build(IvfParams::auto(), Metric::Euclidean, rows, &labels);
-        assert_blocked_matches_serial(&ivf, &queries, k, "ivf");
+        assert_blocks_match_singles(&ivf, &queries, k, "ivf");
 
         let pq = PqIndex::build(PqParams::auto(), Metric::Euclidean, rows, &labels);
-        assert_blocked_matches_serial(&pq, &queries, k, "pq");
+        assert_blocks_match_singles(&pq, &queries, k, "pq");
     }
 
     #[test]
@@ -146,14 +145,14 @@ proptest! {
             n_classes,
             shards,
         );
-        let serial: Vec<SearchResult> = queries
+        let singles: Vec<SearchResult> = queries
             .iter()
             .map(|q| store.search_concurrent(q, k, 1))
             .collect();
         for threads in [1usize, 4, 0] {
             prop_assert_eq!(
                 &store.search_batch_concurrent(&queries, k, threads),
-                &serial,
+                &singles,
                 "sharded batch fan-out diverged at threads={}",
                 threads
             );

@@ -18,7 +18,7 @@ use crate::init::Init;
 use crate::linear::{Dense, DenseGrad};
 use crate::loss::{cross_entropy, softmax};
 use crate::optim::Sgd;
-use crate::parallel::{default_threads, map_chunks};
+use crate::parallel::{map_chunks, resolve_threads};
 use crate::seq::SeqInput;
 
 /// One convolutional block: conv → ReLU → max-pool.
@@ -349,11 +349,7 @@ impl Cnn1dClassifier {
         seed: u64,
     ) -> f32 {
         assert!(!samples.is_empty(), "empty batch");
-        let threads = if threads == 0 {
-            default_threads()
-        } else {
-            threads
-        };
+        let threads = resolve_threads(threads);
         let net: &Cnn1dClassifier = self;
         let results = map_chunks(samples, threads, |ci, _, chunk| {
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(ci as u64 * 0x9E37_79B9));

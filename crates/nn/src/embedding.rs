@@ -25,15 +25,15 @@ use crate::error::{NnError, Result};
 use crate::init::Init;
 use crate::linear::{Dense, DenseGrad};
 use crate::lstm::{GateWeightsT, Lstm, LstmCache, LstmGrad, LstmScratch, LstmStream};
-use crate::parallel::{default_threads, scatter_chunks_mut};
+use crate::parallel::{resolve_threads, scatter_chunks_mut};
 use crate::seq::SeqInput;
 use crate::tensor::Rows;
 
 /// Process-wide monotonic counter behind [`SequenceEmbedder`]'s weights
 /// version: every freshly-built, deserialized, or mutably-borrowed
-/// parameter state gets a distinct id, so an [`EmbedScratch`] can tell
-/// cached transposed weights from stale ones without hashing 500 KB of
-/// parameters per call.
+/// parameter state gets a distinct id, so cached [`EmbedWeightsT`] can
+/// be told from stale ones without hashing 500 KB of parameters per
+/// call.
 static WEIGHTS_VERSION: AtomicU64 = AtomicU64::new(1);
 
 fn next_weights_version() -> u64 {
@@ -185,12 +185,12 @@ impl Deserialize for SequenceEmbedder {
 /// Batched embedding wins on three axes, all of which live here:
 ///
 /// 1. **Weight traffic** — the `(4H)×(I+H)` gate matrix and the dense
-///    stack are transposed once into `wt_*` and then streamed once per
-///    timestep for the *whole* batch (a matrix–matrix product), instead
-///    of being re-walked per trace. The transposes are cached across
-///    calls and keyed on the embedder's weights version, so repeated
-///    `embed_batch` calls against an unchanged model never re-copy
-///    them.
+///    stack are transposed once into an [`EmbedWeightsT`] and then
+///    streamed once per timestep for the *whole* batch (a
+///    matrix–matrix product), instead of being re-walked per trace.
+///    The transposes are cached across calls and keyed on the
+///    embedder's weights version, so repeated `embed_batch` calls
+///    against an unchanged model never re-copy them.
 /// 2. **Allocations** — every intermediate (gate pre-activations,
 ///    hidden/cell states, dense activations) lives in reusable buffers;
 ///    after the first call on the largest batch shape, embedding is
@@ -208,14 +208,9 @@ impl Deserialize for SequenceEmbedder {
 pub struct EmbedScratch {
     /// Worker threads for batch sharding (`0` = all cores).
     threads: usize,
-    /// Weights version the cached transposes were taken from.
-    cached_version: Option<u64>,
-    /// Transposed, panel-padded LSTM gate weights.
-    wt_lstm: GateWeightsT,
-    /// Transposed hidden dense weights, one buffer per layer.
-    wt_hidden: Vec<Vec<f32>>,
-    /// Transposed output-layer weights.
-    wt_output: Vec<f32>,
+    /// The cached transposed weights (checked against the embedder's
+    /// version on every call).
+    weights: EmbedWeightsT,
     /// Per-worker engine buffers.
     workers: Vec<WorkerScratch>,
     /// Output embeddings (`batch × output_size`, original order).
@@ -252,10 +247,7 @@ impl EmbedScratch {
     pub fn with_threads(threads: usize) -> Self {
         EmbedScratch {
             threads,
-            cached_version: None,
-            wt_lstm: GateWeightsT::default(),
-            wt_hidden: Vec::new(),
-            wt_output: Vec::new(),
+            weights: EmbedWeightsT::default(),
             workers: Vec::new(),
             out: Vec::new(),
         }
@@ -267,14 +259,17 @@ impl EmbedScratch {
     }
 }
 
-/// Transposed weights frozen at one parameter version, shared across
-/// all streaming sessions of a model (see
+/// Transposed weights frozen at one parameter version: the layout the
+/// fused engine streams, built by one routine for both of its callers —
+/// the [`EmbedScratch`] cache behind `embed_batch`, and the copy every
+/// streaming session of a model shares (see
 /// [`SequenceEmbedder::stream_weights`]). Holding these outside the
 /// per-session state keeps an [`EmbedStream`] down to a few LSTM
 /// panels.
-#[derive(Debug)]
-pub struct StreamWeights {
-    /// Weights version these transposes were taken from.
+#[derive(Debug, Default)]
+pub struct EmbedWeightsT {
+    /// Weights version these transposes were taken from (`0`, which no
+    /// model carries, until first filled).
     version: u64,
     /// Transposed, panel-padded LSTM gate weights.
     lstm: GateWeightsT,
@@ -470,14 +465,8 @@ impl SequenceEmbedder {
                 .observe(xs.len() as u64);
         }
         let dim = self.config.output_size;
-        if scratch.cached_version != Some(self.version) {
-            self.lstm.gate_weights_t(&mut scratch.wt_lstm);
-            scratch.wt_hidden.resize_with(self.hidden.len(), Vec::new);
-            for (layer, wt) in self.hidden.iter().zip(&mut scratch.wt_hidden) {
-                layer.weights_t(wt);
-            }
-            self.output.weights_t(&mut scratch.wt_output);
-            scratch.cached_version = Some(self.version);
+        if scratch.weights.version != self.version {
+            self.transpose_weights(&mut scratch.weights);
             if tlsfp_telemetry::enabled() {
                 tlsfp_telemetry::counter!(
                     "tlsfp_embed_weight_cache_misses_total",
@@ -492,16 +481,9 @@ impl SequenceEmbedder {
             )
             .inc();
         }
-        let n_workers = if scratch.threads == 0 {
-            default_threads()
-        } else {
-            scratch.threads
-        }
-        .clamp(1, xs.len().max(1));
+        let n_workers = resolve_threads(scratch.threads).clamp(1, xs.len().max(1));
         let EmbedScratch {
-            wt_lstm,
-            wt_hidden,
-            wt_output,
+            weights,
             workers,
             out,
             ..
@@ -516,44 +498,68 @@ impl SequenceEmbedder {
             &mut workers[..n_workers],
             out,
             dim,
-            |chunk, worker, out_rows| {
-                self.embed_chunk(chunk, wt_lstm, wt_hidden, wt_output, worker, out_rows);
-            },
+            |chunk, worker, out_rows| self.embed_chunk(chunk, weights, worker, out_rows),
         );
         Rows::new(dim, out)
     }
 
-    /// One worker's share of a batch: fused LSTM, then the dense stack
-    /// as whole-chunk matrix products ping-ponging between two buffers.
+    /// One worker's share of a batch: the fused LSTM, then the dense
+    /// stack.
     fn embed_chunk(
         &self,
         xs: &[SeqInput],
-        wt_lstm: &GateWeightsT,
-        wt_hidden: &[Vec<f32>],
-        wt_output: &[f32],
+        weights: &EmbedWeightsT,
         worker: &mut WorkerScratch,
         out: &mut [f32],
     ) {
-        let n = xs.len();
-        let mut width = self.config.lstm_hidden;
         worker.a.clear();
-        worker.a.resize(n * width, 0.0);
+        worker.a.resize(xs.len() * self.config.lstm_hidden, 0.0);
         self.lstm
-            .forward_batch_t(xs, wt_lstm, &mut worker.lstm, &mut worker.a);
-        for (layer, wt) in self.hidden.iter().zip(wt_hidden) {
+            .forward_batch_t(xs, &weights.lstm, &mut worker.lstm, &mut worker.a);
+        self.dense_stack(weights, xs.len(), &mut worker.a, &mut worker.b, out);
+    }
+
+    /// The dense stack on `n` LSTM final states held row-major in `a`:
+    /// each hidden layer as one matrix product ping-ponging between `a`
+    /// and `b`, then the output layer into `out` (`n × output_size`).
+    /// The one dense body [`SequenceEmbedder::embed_batch`] and
+    /// [`SequenceEmbedder::stream_embedding`] share; each row's
+    /// arithmetic is independent of `n`.
+    fn dense_stack(
+        &self,
+        weights: &EmbedWeightsT,
+        n: usize,
+        a: &mut Vec<f32>,
+        b: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        let mut width = self.config.lstm_hidden;
+        for (layer, wt) in self.hidden.iter().zip(&weights.hidden) {
             let next = layer.output_size();
-            worker.b.clear();
-            worker.b.resize(n * next, 0.0);
-            layer.forward_batch_t(wt, &worker.a[..n * width], &mut worker.b);
-            self.config
-                .hidden_activation
-                .apply_fast_slice(&mut worker.b);
-            std::mem::swap(&mut worker.a, &mut worker.b);
+            b.clear();
+            b.resize(n * next, 0.0);
+            layer.forward_batch_t(wt, &a[..n * width], b);
+            self.config.hidden_activation.apply_fast_slice(b);
+            std::mem::swap(a, b);
             width = next;
         }
         self.output
-            .forward_batch_t(wt_output, &worker.a[..n * width], out);
+            .forward_batch_t(&weights.output, &a[..n * width], out);
         self.config.output_activation.apply_fast_slice(out);
+    }
+
+    /// Transposes every layer's weights into `w`, reusing its buffers,
+    /// in the layout the fused engine streams, and tags it with the
+    /// current parameter version — the one routine behind both weight
+    /// caches.
+    fn transpose_weights(&self, w: &mut EmbedWeightsT) {
+        self.lstm.gate_weights_t(&mut w.lstm);
+        w.hidden.resize_with(self.hidden.len(), Vec::new);
+        for (layer, wt) in self.hidden.iter().zip(&mut w.hidden) {
+            layer.weights_t(wt);
+        }
+        self.output.weights_t(&mut w.output);
+        w.version = self.version;
     }
 
     /// Transposed weights for the streaming path, frozen at the current
@@ -562,37 +568,26 @@ impl SequenceEmbedder {
     ///
     /// The per-thread cache is keyed on the weights version (the same
     /// key [`EmbedScratch`] uses), so retraining or deserializing a new
-    /// model naturally invalidates it; streams started against a stale
-    /// [`StreamWeights`] are rejected by the version assert in
-    /// [`SequenceEmbedder::stream_start`].
-    pub fn stream_weights(&self) -> Arc<StreamWeights> {
+    /// model naturally invalidates it; streams started against stale
+    /// [`EmbedWeightsT`] are rejected by the version assert in
+    /// [`SequenceEmbedder::stream_start`]. The cache is its own slot,
+    /// not the thread's [`EmbedScratch`], so it never counts toward the
+    /// `embed_batch` weight-cache counters.
+    pub fn stream_weights(&self) -> Arc<EmbedWeightsT> {
         thread_local! {
-            static CACHE: std::cell::RefCell<Option<Arc<StreamWeights>>> =
+            static CACHE: std::cell::RefCell<Option<Arc<EmbedWeightsT>>> =
                 const { std::cell::RefCell::new(None) };
         }
         CACHE.with(|cell| {
             let mut cached = cell.borrow_mut();
-            if let Some(w) = cached.as_deref() {
-                if w.version == self.version {
-                    return Arc::clone(cached.as_ref().unwrap());
+            match cached.as_ref() {
+                Some(w) if w.version == self.version => Arc::clone(w),
+                _ => {
+                    let mut w = EmbedWeightsT::default();
+                    self.transpose_weights(&mut w);
+                    Arc::clone(cached.insert(Arc::new(w)))
                 }
             }
-            let mut lstm = GateWeightsT::default();
-            self.lstm.gate_weights_t(&mut lstm);
-            let mut hidden = vec![Vec::new(); self.hidden.len()];
-            for (layer, wt) in self.hidden.iter().zip(&mut hidden) {
-                layer.weights_t(wt);
-            }
-            let mut output = Vec::new();
-            self.output.weights_t(&mut output);
-            let w = Arc::new(StreamWeights {
-                version: self.version,
-                lstm,
-                hidden,
-                output,
-            });
-            *cached = Some(Arc::clone(&w));
-            w
         })
     }
 
@@ -603,7 +598,7 @@ impl SequenceEmbedder {
     /// Panics if `weights` was built for a different parameter version
     /// (the model was retrained or replaced since
     /// [`SequenceEmbedder::stream_weights`]).
-    pub fn stream_start(&self, weights: &StreamWeights) -> EmbedStream {
+    pub fn stream_start(&self, weights: &EmbedWeightsT) -> EmbedStream {
         assert_eq!(
             weights.version, self.version,
             "stream weights were built for a different parameter state"
@@ -616,37 +611,24 @@ impl SequenceEmbedder {
     /// Folds one tensorized timestep (length [`EmbedderConfig::input_size`])
     /// into the stream — the LSTM advances; the dense stack is deferred
     /// to [`SequenceEmbedder::stream_embedding`].
-    pub fn stream_fold(&self, weights: &StreamWeights, stream: &mut EmbedStream, x_t: &[f32]) {
+    pub fn stream_fold(&self, weights: &EmbedWeightsT, stream: &mut EmbedStream, x_t: &[f32]) {
         debug_assert_eq!(weights.version, self.version, "stale stream weights");
         self.lstm.stream_step(&weights.lstm, &mut stream.lstm, x_t);
     }
 
     /// The embedding at the stream's current prefix, without consuming
-    /// the stream: the dense stack replayed on the live hidden state
-    /// with the exact batch-of-one arithmetic of the fused engine, so
-    /// after folding a trace's full tensor step-by-step the result is
+    /// the stream: the dense stack replayed on the live hidden state as
+    /// a batch of one through the fused engine's dense body, so after
+    /// folding a trace's full tensor step-by-step the result is
     /// **bit-identical** to [`SequenceEmbedder::embed`] of that trace.
-    pub fn stream_embedding(&self, weights: &StreamWeights, stream: &EmbedStream) -> Vec<f32> {
+    pub fn stream_embedding(&self, weights: &EmbedWeightsT, stream: &EmbedStream) -> Vec<f32> {
         assert_eq!(
             weights.version, self.version,
             "stream weights were built for a different parameter state"
         );
-        let mut width = self.config.lstm_hidden;
         let mut a = self.lstm.stream_hidden(&stream.lstm).to_vec();
-        let mut b: Vec<f32> = Vec::new();
-        for (layer, wt) in self.hidden.iter().zip(&weights.hidden) {
-            let next = layer.output_size();
-            b.clear();
-            b.resize(next, 0.0);
-            layer.forward_batch_t(wt, &a[..width], &mut b);
-            self.config.hidden_activation.apply_fast_slice(&mut b);
-            std::mem::swap(&mut a, &mut b);
-            width = next;
-        }
         let mut out = vec![0.0; self.config.output_size];
-        self.output
-            .forward_batch_t(&weights.output, &a[..width], &mut out);
-        self.config.output_activation.apply_fast_slice(&mut out);
+        self.dense_stack(weights, 1, &mut a, &mut Vec::new(), &mut out);
         out
     }
 

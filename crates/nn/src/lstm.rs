@@ -78,23 +78,46 @@ pub struct GateWeightsT {
 }
 
 /// Caller-owned buffers for [`Lstm::forward_batch_t`]: the batch plan
-/// (sorted order + lengths) and the per-sequence `xh`/`z`/`h`/`c`
-/// panels. Reusing one scratch across calls makes the batched forward
-/// allocation-free after warm-up.
+/// (sorted order + lengths) and the per-sequence state panels. Reusing
+/// one scratch across calls makes the batched forward allocation-free
+/// after warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct LstmScratch {
     /// Sequence indices sorted by length, longest first (stable).
     order: Vec<usize>,
     /// Lengths aligned with `order`.
     lens: Vec<usize>,
+    /// State panels, one row per sequence in plan order.
+    panels: StatePanels,
+}
+
+/// The per-sequence panels one timestep ([`Lstm::step`]) reads and
+/// writes, for a plan of `n` sequences at the padded stride `hp`.
+#[derive(Debug, Clone, Default)]
+struct StatePanels {
     /// Concatenated `[x_t ; h_{t-1}]` rows, one per active sequence.
     xh: Vec<f32>,
-    /// Packed gate pre-activations (`batch × 4H`).
+    /// Gate pre-activations: four `n × hp` panels (`i`, `f`, `g`, `o`).
     z: Vec<f32>,
-    /// Hidden states (`batch × H`, plan order).
+    /// Hidden states (`n × hp`).
     h: Vec<f32>,
-    /// Cell states (`batch × H`, plan order).
+    /// Cell states (`n × hp`).
     c: Vec<f32>,
+}
+
+impl StatePanels {
+    /// Zeroed panels for `n` sequences with `xh_w`-wide input rows.
+    fn reset(&mut self, n: usize, xh_w: usize, hp: usize) {
+        for (buf, len) in [
+            (&mut self.xh, n * xh_w),
+            (&mut self.z, 4 * n * hp),
+            (&mut self.h, n * hp),
+            (&mut self.c, n * hp),
+        ] {
+            buf.clear();
+            buf.resize(len, 0.0);
+        }
+    }
 }
 
 impl LstmCache {
@@ -110,25 +133,20 @@ impl LstmCache {
 }
 
 /// Incremental per-session LSTM state for the streaming serving path:
-/// the hidden/cell panels plus the per-step work buffers, folded one
-/// timestep at a time by [`Lstm::stream_step`].
+/// the state panels of a batch of one, folded one timestep at a time
+/// by [`Lstm::stream_step`].
 ///
-/// All panels use the padded stride `hp` from the [`GateWeightsT`] the
-/// stream was started with, exactly like [`Lstm::forward_batch_t`]'s
-/// scratch, so the per-step arithmetic replays the batched engine's
-/// batch-of-one path bit for bit. Cloning a stream is cheap (a few
-/// `hp`-sized buffers) — sessions clone it to peek at a decision that
-/// includes a not-yet-sealed feature step without consuming state.
+/// The panels use the padded stride `hp` from the [`GateWeightsT`] the
+/// stream was started with, and every step runs the same step body as
+/// [`Lstm::forward_batch_t`] with `n = 1`, so the fold is the batched
+/// engine's batch-of-one arithmetic bit for bit. Cloning a stream is
+/// cheap (a few `hp`-sized buffers) — sessions clone it to peek at a
+/// decision that includes a not-yet-sealed feature step without
+/// consuming state.
 #[derive(Debug, Clone)]
 pub struct LstmStream {
-    /// Hidden state panel (stride `hp`; the first `H` lanes are real).
-    h: Vec<f32>,
-    /// Cell state panel.
-    c: Vec<f32>,
-    /// Concatenated `[x_t ; h_{t-1}]` row.
-    xh: Vec<f32>,
-    /// Packed gate pre-activations (four `hp`-wide panels).
-    z: Vec<f32>,
+    /// The batch-of-one panels (the first `H` lanes of `h` are real).
+    panels: StatePanels,
     /// Timesteps folded so far.
     steps: usize,
 }
@@ -363,20 +381,11 @@ impl Lstm {
             .lens
             .extend(scratch.order.iter().map(|&i| seqs[i].steps()));
 
-        let xh_w = xd + hs;
-        let gate_wt = hp * xh_w;
         // All state panels use the padded stride `hp`: pad lanes carry
         // zero-weight, zero-bias gate outputs that decay harmlessly and
-        // are never read back, and in exchange every sweep below is a
-        // whole number of SIMD lanes.
-        scratch.xh.clear();
-        scratch.xh.resize(n * xh_w, 0.0);
-        scratch.z.clear();
-        scratch.z.resize(4 * n * hp, 0.0);
-        scratch.h.clear();
-        scratch.h.resize(n * hp, 0.0);
-        scratch.c.clear();
-        scratch.c.resize(n * hp, 0.0);
+        // are never read back, and in exchange every sweep in the step
+        // body is a whole number of SIMD lanes.
+        scratch.panels.reset(n, xd + hs, hp);
 
         let mut active = n;
         while active > 0 && scratch.lens[active - 1] == 0 {
@@ -384,54 +393,14 @@ impl Lstm {
         }
         let mut t = 0usize;
         while active > 0 {
-            // Assemble [x_t ; h_{t-1}] for the active prefix.
-            for s in 0..active {
-                let seq = &seqs[scratch.order[s]];
-                debug_assert_eq!(seq.channels(), xd, "sequence channel count");
-                let row = &mut scratch.xh[s * xh_w..(s + 1) * xh_w];
-                row[..xd].copy_from_slice(seq.step(t));
-                row[xd..].copy_from_slice(&scratch.h[s * hp..s * hp + hs]);
-            }
-            // All four gates for the whole active batch: one
-            // matrix–matrix product per gate, each into a contiguous
-            // panel of `z` (panel g starts at `g · n · hp`).
-            let span = active * hp;
-            {
-                let (zi, rest) = scratch.z.split_at_mut(n * hp);
-                let (zf, rest) = rest.split_at_mut(n * hp);
-                let (zg, zo) = rest.split_at_mut(n * hp);
-                let xh = &scratch.xh[..active * xh_w];
-                for (gate, panel) in [&mut *zi, &mut *zf, &mut *zg, &mut *zo]
-                    .into_iter()
-                    .enumerate()
-                {
-                    matmul_t(
-                        xh,
-                        xh_w,
-                        &wt.wt[gate * gate_wt..(gate + 1) * gate_wt],
-                        &wt.bias[gate * hp..(gate + 1) * hp],
-                        &mut panel[..span],
-                    );
-                }
-                // Gate nonlinearities + state update as whole-panel
-                // sweeps: branchless over long contiguous runs, so
-                // every pass vectorizes.
-                fast_sigmoid_slice(&mut zi[..span]);
-                fast_sigmoid_slice(&mut zf[..span]);
-                fast_tanh_slice(&mut zg[..span]);
-                fast_sigmoid_slice(&mut zo[..span]);
-                let c = &mut scratch.c[..span];
-                for (idx, cv) in c.iter_mut().enumerate() {
-                    *cv = zf[idx] * *cv + zi[idx] * zg[idx];
-                }
-                // The spent g panel becomes tanh(c_t).
-                zg[..span].copy_from_slice(c);
-                fast_tanh_slice(&mut zg[..span]);
-                let h = &mut scratch.h[..span];
-                for (idx, hv) in h.iter_mut().enumerate() {
-                    *hv = zo[idx] * zg[idx];
-                }
-            }
+            let order = &scratch.order;
+            self.step(
+                wt,
+                n,
+                active,
+                |s| seqs[order[s]].step(t),
+                &mut scratch.panels,
+            );
             t += 1;
             // Retire sequences that just finished.
             while active > 0 && scratch.lens[active - 1] <= t {
@@ -442,90 +411,101 @@ impl Lstm {
         // Scatter final states back to original order.
         for s in 0..n {
             h_out[scratch.order[s] * hs..(scratch.order[s] + 1) * hs]
-                .copy_from_slice(&scratch.h[s * hp..s * hp + hs]);
+                .copy_from_slice(&scratch.panels.h[s * hp..s * hp + hs]);
+        }
+    }
+
+    /// One timestep for the `active` leading sequences of a plan of
+    /// `n` — the step body [`Lstm::forward_batch_t`] runs per timestep
+    /// and [`Lstm::stream_step`] runs with `n = 1`. Assembles each
+    /// active row's `[x_t ; h_{t-1}]` (`x(s)` is row `s`'s input), runs
+    /// the four gate products into contiguous panels of `z` (panel `g`
+    /// starts at `g · n · hp`), then the gate nonlinearities and the
+    /// state update as whole-panel sweeps: branchless over long
+    /// contiguous runs, so every pass vectorizes. Each row's arithmetic
+    /// is independent of `n` and `active`.
+    fn step<'x>(
+        &self,
+        wt: &GateWeightsT,
+        n: usize,
+        active: usize,
+        x: impl Fn(usize) -> &'x [f32],
+        p: &mut StatePanels,
+    ) {
+        let (hs, xd, hp) = (self.hidden_size, self.input_size, wt.hp);
+        let xh_w = xd + hs;
+        for s in 0..active {
+            let x_t = x(s);
+            debug_assert_eq!(x_t.len(), xd, "input channel count");
+            let row = &mut p.xh[s * xh_w..(s + 1) * xh_w];
+            row[..xd].copy_from_slice(x_t);
+            row[xd..].copy_from_slice(&p.h[s * hp..s * hp + hs]);
+        }
+        let gate_wt = hp * xh_w;
+        let span = active * hp;
+        let (zi, rest) = p.z.split_at_mut(n * hp);
+        let (zf, rest) = rest.split_at_mut(n * hp);
+        let (zg, zo) = rest.split_at_mut(n * hp);
+        let xh = &p.xh[..active * xh_w];
+        for (gate, panel) in [&mut *zi, &mut *zf, &mut *zg, &mut *zo]
+            .into_iter()
+            .enumerate()
+        {
+            matmul_t(
+                xh,
+                xh_w,
+                &wt.wt[gate * gate_wt..(gate + 1) * gate_wt],
+                &wt.bias[gate * hp..(gate + 1) * hp],
+                &mut panel[..span],
+            );
+        }
+        fast_sigmoid_slice(&mut zi[..span]);
+        fast_sigmoid_slice(&mut zf[..span]);
+        fast_tanh_slice(&mut zg[..span]);
+        fast_sigmoid_slice(&mut zo[..span]);
+        let c = &mut p.c[..span];
+        for (idx, cv) in c.iter_mut().enumerate() {
+            *cv = zf[idx] * *cv + zi[idx] * zg[idx];
+        }
+        // The spent g panel becomes tanh(c_t).
+        zg[..span].copy_from_slice(c);
+        fast_tanh_slice(&mut zg[..span]);
+        for (idx, hv) in p.h[..span].iter_mut().enumerate() {
+            *hv = zo[idx] * zg[idx];
         }
     }
 
     /// Starts an incremental fold with zeroed state sized for `wt`.
     ///
     /// The returned [`LstmStream`] advances one timestep per
-    /// [`Lstm::stream_step`] call and replays [`Lstm::forward_batch_t`]'s
-    /// batch-of-one arithmetic exactly, so after `t` steps
+    /// [`Lstm::stream_step`] call, so after `t` steps
     /// [`Lstm::stream_hidden`] is bit-identical to the batched final
     /// hidden state of the corresponding `t`-step prefix. A stream that
     /// never steps reads back the zero state, matching the batched
     /// engine's empty-sequence convention.
     pub fn stream_start(&self, wt: &GateWeightsT) -> LstmStream {
-        let hp = wt.hp;
-        debug_assert!(hp >= self.hidden_size, "panel width below hidden size");
-        LstmStream {
-            h: vec![0.0; hp],
-            c: vec![0.0; hp],
-            xh: vec![0.0; self.input_size + self.hidden_size],
-            z: vec![0.0; 4 * hp],
-            steps: 0,
-        }
+        debug_assert!(wt.hp >= self.hidden_size, "panel width below hidden size");
+        let mut panels = StatePanels::default();
+        panels.reset(1, self.input_size + self.hidden_size, wt.hp);
+        LstmStream { panels, steps: 0 }
     }
 
     /// Folds one timestep `x_t` (length [`Lstm::input_size`]) into the
-    /// stream — the exact batch-of-one body of
-    /// [`Lstm::forward_batch_t`]: same gate product, same whole-panel
-    /// activation sweeps over the padded stride, same state-update
-    /// order, so the result carries the bit-identity guarantee.
+    /// stream: [`Lstm::forward_batch_t`]'s step body on a batch of one.
     ///
     /// # Panics
     ///
     /// Panics (debug) if `x_t` or the stream's panels disagree with the
     /// layer shape or with `wt`.
     pub fn stream_step(&self, wt: &GateWeightsT, st: &mut LstmStream, x_t: &[f32]) {
-        let hs = self.hidden_size;
-        let xd = self.input_size;
-        let hp = wt.hp;
-        debug_assert_eq!(x_t.len(), xd, "input channel count");
-        debug_assert_eq!(st.h.len(), hp, "stream panel width");
-        let xh_w = xd + hs;
-        let gate_wt = hp * xh_w;
-
-        st.xh[..xd].copy_from_slice(x_t);
-        st.xh[xd..].copy_from_slice(&st.h[..hs]);
-        let span = hp;
-        {
-            let (zi, rest) = st.z.split_at_mut(hp);
-            let (zf, rest) = rest.split_at_mut(hp);
-            let (zg, zo) = rest.split_at_mut(hp);
-            for (gate, panel) in [&mut *zi, &mut *zf, &mut *zg, &mut *zo]
-                .into_iter()
-                .enumerate()
-            {
-                matmul_t(
-                    &st.xh,
-                    xh_w,
-                    &wt.wt[gate * gate_wt..(gate + 1) * gate_wt],
-                    &wt.bias[gate * hp..(gate + 1) * hp],
-                    &mut panel[..span],
-                );
-            }
-            fast_sigmoid_slice(&mut zi[..span]);
-            fast_sigmoid_slice(&mut zf[..span]);
-            fast_tanh_slice(&mut zg[..span]);
-            fast_sigmoid_slice(&mut zo[..span]);
-            let c = &mut st.c[..span];
-            for (idx, cv) in c.iter_mut().enumerate() {
-                *cv = zf[idx] * *cv + zi[idx] * zg[idx];
-            }
-            zg[..span].copy_from_slice(c);
-            fast_tanh_slice(&mut zg[..span]);
-            let h = &mut st.h[..span];
-            for (idx, hv) in h.iter_mut().enumerate() {
-                *hv = zo[idx] * zg[idx];
-            }
-        }
+        debug_assert_eq!(st.panels.h.len(), wt.hp, "stream panel width");
+        self.step(wt, 1, 1, |_| x_t, &mut st.panels);
         st.steps += 1;
     }
 
     /// The stream's current hidden state (the real `H` lanes).
     pub fn stream_hidden<'a>(&self, st: &'a LstmStream) -> &'a [f32] {
-        &st.h[..self.hidden_size]
+        &st.panels.h[..self.hidden_size]
     }
 
     /// Mutable parameter views (weights then biases) for optimizers.

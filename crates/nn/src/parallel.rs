@@ -27,6 +27,16 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Resolves a worker-count knob: `0` means all cores
+/// ([`default_threads`]); any other value is used as-is.
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested == 0 {
+        default_threads()
+    } else {
+        requested
+    }
+}
+
 /// Splits `items` into at most `threads` contiguous chunks and runs `f`
 /// on each chunk in parallel, returning per-chunk results in order.
 ///
@@ -160,6 +170,8 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+        assert_eq!(resolve_threads(0), default_threads());
+        assert_eq!(resolve_threads(3), 3);
     }
 
     #[test]

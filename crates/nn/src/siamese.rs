@@ -14,7 +14,7 @@ use crate::embedding::{EmbedderGrads, SequenceEmbedder};
 use crate::loss::ContrastiveLoss;
 use crate::optim::Sgd;
 use crate::pairs::TrainPair;
-use crate::parallel::{default_threads, map_chunks};
+use crate::parallel::{map_chunks, resolve_threads};
 use crate::seq::SeqInput;
 use crate::tensor::euclidean;
 
@@ -60,14 +60,6 @@ impl SiameseTrainer {
         }
     }
 
-    fn thread_count(&self) -> usize {
-        if self.threads == 0 {
-            default_threads()
-        } else {
-            self.threads
-        }
-    }
-
     /// Runs one SGD step over a batch of pairs and returns the mean loss.
     ///
     /// `pool` is the flat trace pool the pair indices refer to. `seed`
@@ -85,7 +77,7 @@ impl SiameseTrainer {
         seed: u64,
     ) -> f32 {
         assert!(!pairs.is_empty(), "empty batch");
-        let threads = self.thread_count();
+        let threads = resolve_threads(self.threads);
         let loss = self.loss;
         let net_ref: &SequenceEmbedder = net;
 
@@ -166,7 +158,7 @@ impl SiameseTrainer {
         if pairs.is_empty() {
             return 0.0;
         }
-        let threads = self.thread_count();
+        let threads = resolve_threads(self.threads);
         let loss = self.loss;
         let sums = map_chunks(pairs, threads, |_, _, chunk| {
             chunk

@@ -214,7 +214,8 @@ fn shard_gauges_track_churn_and_export() {
 /// count, so the `backend="sharded"` query/eval counters advance by
 /// exactly the same amount on an S=1 store as on an S=4 store over the
 /// same rows (a flat backend scans every row either way, so the eval
-/// totals match too).
+/// totals match too). A single query runs each shard's scan kernel as a
+/// block of one.
 #[test]
 fn sharded_counters_agree_between_one_and_four_shards() {
     let _guard = FlagGuard::acquire();
@@ -232,6 +233,12 @@ fn sharded_counters_agree_between_one_and_four_shards() {
             8,
             shards,
         );
+        let flat_blocks = || {
+            tlsfp::telemetry::global()
+                .snapshot()
+                .histogram("tlsfp_query_block_size", &[("backend", "flat")])
+                .map_or((0, 0), |h| (h.count, h.sum))
+        };
         let before = tlsfp::telemetry::global().snapshot();
         let q_before = before
             .counter("tlsfp_queries_total", &[("backend", "sharded")])
@@ -239,8 +246,15 @@ fn sharded_counters_agree_between_one_and_four_shards() {
         let e_before = before
             .counter("tlsfp_distance_evals_total", &[("backend", "sharded")])
             .unwrap_or(0);
+        let (blocks_before, block_sum_before) = flat_blocks();
         store.search_concurrent(&queries[0], 3, 1);
         store.search_concurrent(&queries[1], 3, 2);
+        // A single query runs every shard's scan kernel as a block of
+        // one: 2 × S observations of size 1.
+        let (blocks, block_sum) = flat_blocks();
+        let want = 2 * shards as u64;
+        assert_eq!(blocks - blocks_before, want, "S={shards} block count");
+        assert_eq!(block_sum - block_sum_before, want, "S={shards} block sizes");
         store.search_batch_concurrent(&queries, 3, 2);
         let after = tlsfp::telemetry::global().snapshot();
         deltas.push((
@@ -275,6 +289,34 @@ fn sharded_counters_agree_between_one_and_four_shards() {
         .histogram("tlsfp_query_block_size", &[("backend", "flat")])
         .expect("block-size histogram recorded");
     assert!(blocks.count > 0, "no blocked-scan blocks observed");
+}
+
+/// `add_class` is one swap into a fresh class: the mutation counter
+/// advances by exactly one, and the store equals adding the class's
+/// embeddings row by row (same rows, ids and order — IVF lists too).
+#[test]
+fn add_class_is_one_mutation_equal_to_row_by_row_adds() {
+    let _guard = FlagGuard::acquire();
+    tlsfp::telemetry::set_enabled(true);
+    let mut fp = tlsfp_testkit::tiny_adversary();
+    fp.set_index(IndexConfig::ivf_default());
+    let (_, test) = tlsfp_testkit::tiny_split();
+    let traces = &test.seqs()[..3];
+    let row_by_row = fp.reference().clone();
+    let class = row_by_row.allocate_class();
+    for e in fp.embed_all(traces) {
+        row_by_row.add_row(class, &e);
+    }
+    let mutations = || {
+        tlsfp::telemetry::global()
+            .snapshot()
+            .counter("tlsfp_store_mutations_total", &[])
+            .unwrap_or(0)
+    };
+    let before = mutations();
+    assert_eq!(fp.add_class(traces).unwrap(), class);
+    assert_eq!(mutations() - before, 1, "one mutation per add_class");
+    assert_eq!(*fp.reference(), row_by_row);
 }
 
 /// Streaming fixtures for the telemetry on/off comparisons: the cached
