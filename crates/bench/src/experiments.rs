@@ -3,7 +3,8 @@
 //! Each runner is deterministic in its seed, returns a serializable
 //! result struct, and has a `print` companion that emits the same
 //! rows/series the paper reports. The `repro` binary dispatches to
-//! these; the criterion benches reuse them at reduced scale.
+//! these. Every wall-clock column is measured through
+//! [`crate::measure`].
 
 use serde::{Deserialize, Serialize};
 
@@ -14,11 +15,15 @@ use tlsfp_core::defense::FixedLengthDefense;
 use tlsfp_core::metrics::EvalReport;
 use tlsfp_core::open_world::{roc_auc, RocPoint};
 use tlsfp_core::pipeline::{AdaptiveFingerprinter, PipelineConfig};
+use tlsfp_index::sharded::ShardedStore;
+use tlsfp_index::{IndexConfig, Metric, PqParams, Rows};
 use tlsfp_trace::dataset::Dataset;
 use tlsfp_trace::sequence::IpSequences;
 use tlsfp_trace::tensorize::TensorConfig;
 use tlsfp_web::corpus::{open_world_split, CorpusSpec, SyntheticCorpus};
 use tlsfp_web::crawler::LabeledCapture;
+
+use crate::measure;
 
 /// Scale knobs shared by all experiments.
 ///
@@ -174,6 +179,21 @@ fn wiki_dataset(classes: usize, traces: usize, seed: u64) -> Dataset {
     )
     .expect("valid corpus spec");
     ds
+}
+
+/// Every site profile's name and dataset at `classes` classes, profile
+/// `i` generated at seed `seed + i`.
+fn profile_datasets(
+    scale: &Scale,
+    classes: usize,
+    seed: u64,
+) -> impl Iterator<Item = (String, Dataset)> {
+    let specs = CorpusSpec::all_profiles(classes, scale.traces_per_class).into_iter();
+    specs.enumerate().map(move |(i, spec)| {
+        let (_, ds) =
+            Dataset::generate(&spec, &TensorConfig::wiki(), seed + i as u64).expect("valid corpus");
+        (spec.site.name, ds)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -597,17 +617,13 @@ pub fn run_table3(scale: &Scale) -> Table3Result {
     let mut accuracies = Vec::new();
 
     // Ours: adaptive fingerprinting.
-    let t0 = std::time::Instant::now();
-    let mut adaptive = AdaptiveFingerprinter::provision(&train, &scale.pipeline, scale.seed)
-        .expect("provisioning succeeds");
-    let adaptive_train = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let _ = adaptive.evaluate(&test);
-    let adaptive_infer = t1.elapsed().as_secs_f64() / test.len().max(1) as f64;
+    let (mut adaptive, adaptive_train) = measure::time(|| {
+        AdaptiveFingerprinter::provision(&train, &scale.pipeline, scale.seed)
+            .expect("provisioning succeeds")
+    });
+    let adaptive_infer = measure::time(|| adaptive.evaluate(&test)).1 / test.len().max(1) as f64;
     // Update: re-embed the reference corpus (no retraining).
-    let t2 = std::time::Instant::now();
-    adaptive.set_reference(&train).expect("reference");
-    let adaptive_update = t2.elapsed().as_secs_f64();
+    let adaptive_update = measure::time(|| adaptive.set_reference(&train).expect("reference")).1;
     accuracies.push((
         "Adaptive Fingerprinting".into(),
         adaptive.evaluate(&test).top_n_accuracy(1),
@@ -621,15 +637,11 @@ pub fn run_table3(scale: &Scale) -> Table3Result {
     });
 
     // k-fingerprinting: forest refit on update (cheap, but a refit).
-    let t0 = std::time::Instant::now();
-    let kfp = KFingerprinting::fit(&train, KfpConfig::default(), scale.seed);
-    let kfp_train = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let _ = kfp.evaluate(&test);
-    let kfp_infer = t1.elapsed().as_secs_f64() / test.len().max(1) as f64;
-    let t2 = std::time::Instant::now();
-    let kfp2 = KFingerprinting::fit(&train, KfpConfig::default(), scale.seed + 1);
-    let kfp_update = t2.elapsed().as_secs_f64();
+    let (kfp, kfp_train) =
+        measure::time(|| KFingerprinting::fit(&train, KfpConfig::default(), scale.seed));
+    let kfp_infer = measure::time(|| kfp.evaluate(&test)).1 / test.len().max(1) as f64;
+    let (kfp2, kfp_update) =
+        measure::time(|| KFingerprinting::fit(&train, KfpConfig::default(), scale.seed + 1));
     accuracies.push((
         "k-fingerprinting".into(),
         kfp2.evaluate(&test).top_n_accuracy(1),
@@ -652,15 +664,11 @@ pub fn run_table3(scale: &Scale) -> Table3Result {
     .expect("valid corpus");
     let (train2, test2) = ds2.split_per_class(scale.test_fraction, scale.seed);
     let df_config = DfConfig::default();
-    let t0 = std::time::Instant::now();
-    let df = DeepFingerprinting::fit(&train2, df_config.clone(), scale.seed);
-    let df_train = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let _ = df.evaluate(&test2);
-    let df_infer = t1.elapsed().as_secs_f64() / test2.len().max(1) as f64;
-    let t2 = std::time::Instant::now();
-    let df2 = DeepFingerprinting::fit(&train2, df_config, scale.seed + 1);
-    let df_update = t2.elapsed().as_secs_f64();
+    let (df, df_train) =
+        measure::time(|| DeepFingerprinting::fit(&train2, df_config.clone(), scale.seed));
+    let df_infer = measure::time(|| df.evaluate(&test2)).1 / test2.len().max(1) as f64;
+    let (df2, df_update) =
+        measure::time(|| DeepFingerprinting::fit(&train2, df_config, scale.seed + 1));
     accuracies.push((
         "Deep Fingerprinting (lite)".into(),
         df2.evaluate(&test2).top_n_accuracy(1),
@@ -812,16 +820,8 @@ pub fn run_open_world_profile(
 pub fn run_fig_open_world(scale: &Scale) -> FigOpenWorldResult {
     let total = scale.open_world_monitored + scale.open_world_unmonitored;
     let params = OpenWorldParams::from_scale(scale);
-    let profiles = CorpusSpec::all_profiles(total, scale.traces_per_class)
-        .into_iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let name = spec.site.name.clone();
-            let (_, ds) =
-                Dataset::generate(&spec, &TensorConfig::wiki(), scale.seed + 8 + i as u64)
-                    .expect("valid corpus");
-            run_open_world_profile(&name, &ds, &params)
-        })
+    let profiles = profile_datasets(scale, total, scale.seed + 8)
+        .map(|(name, ds)| run_open_world_profile(&name, &ds, &params))
         .collect();
     FigOpenWorldResult { profiles }
 }
@@ -891,51 +891,29 @@ pub fn run_index_profile(
     params: tlsfp_index::IvfParams,
     threads: usize,
 ) -> IndexProfileResult {
-    use tlsfp_index::{FlatIndex, IvfIndex, Rows, VectorIndex};
+    use tlsfp_index::{FlatIndex, IvfIndex, VectorIndex};
     assert_eq!(reference.len(), labels.len(), "one label per embedding");
     assert!(!reference.is_empty(), "empty reference");
     let dim = reference[0].len();
     let rows_flat: Vec<f32> = reference.iter().flatten().copied().collect();
     let rows = Rows::new(dim, &rows_flat);
-    let metric = tlsfp_core::knn::Metric::Euclidean;
 
-    let flat = FlatIndex::from_rows(metric, rows, labels);
-    let ivf = IvfIndex::build(params, metric, rows, labels);
+    let flat = FlatIndex::from_rows(Metric::Euclidean, rows, labels);
+    let ivf = IvfIndex::build(params, Metric::Euclidean, rows, labels);
 
-    let t0 = std::time::Instant::now();
-    let flat_results = flat.search_batch(queries, k, threads);
-    let flat_seconds = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let ivf_results = ivf.search_batch(queries, k, threads);
-    let ivf_seconds = t1.elapsed().as_secs_f64();
+    let (flat_results, flat_seconds) = measure::time(|| flat.search_batch(queries, k, threads));
+    let (ivf_results, ivf_seconds) = measure::time(|| ivf.search_batch(queries, k, threads));
 
-    let mut hit1 = 0usize;
+    let cmp = measure::compare(&flat_results, &ivf_results, |t, got| t.id == got.id);
     let mut recall_k_sum = 0.0f64;
-    let mut agree = 0usize;
-    let mut flat_evals = 0u64;
-    let mut ivf_evals = 0u64;
-    for (rf, ri) in flat_results.iter().zip(ivf_results.iter()) {
-        flat_evals += rf.distance_evals;
-        ivf_evals += ri.distance_evals;
+    for (rf, ri) in flat_results.iter().zip(&ivf_results) {
         let truth: std::collections::HashSet<u64> = rf.neighbors.iter().map(|n| n.id).collect();
         let retrieved: std::collections::HashSet<u64> = ri.neighbors.iter().map(|n| n.id).collect();
-        if let Some(true_nn) = rf.top() {
-            if ri.top().map(|n| n.id) == Some(true_nn.id) {
-                hit1 += 1;
-            }
-        }
         if !truth.is_empty() {
             recall_k_sum += truth.intersection(&retrieved).count() as f64 / truth.len() as f64;
         }
-        // Vote agreement from the results already in hand — no second
-        // scan.
-        let flat_top = tlsfp_core::knn::rank_search(rf.clone()).prediction.top();
-        let ivf_top = tlsfp_core::knn::rank_search(ri.clone()).prediction.top();
-        if flat_top == ivf_top {
-            agree += 1;
-        }
     }
-    let nq = queries.len().max(1);
+    let (flat_evals, ivf_evals) = (cmp.exact_evals, cmp.candidate_evals);
     IndexProfileResult {
         profile: name.to_string(),
         n_reference: reference.len(),
@@ -943,9 +921,9 @@ pub fn run_index_profile(
         k,
         n_lists: ivf.n_lists(),
         n_probe: ivf.n_probe(),
-        recall_at_1: hit1 as f64 / nq as f64,
-        recall_at_k: recall_k_sum / nq as f64,
-        top1_agreement: agree as f64 / nq as f64,
+        recall_at_1: cmp.recall_at_1,
+        recall_at_k: recall_k_sum / queries.len().max(1) as f64,
+        top1_agreement: cmp.top1_agreement,
         flat_distance_evals: flat_evals,
         ivf_distance_evals: ivf_evals,
         evals_fraction: if flat_evals == 0 {
@@ -974,14 +952,8 @@ pub fn run_fig_index(scale: &Scale) -> FigIndexResult {
     let adversary = AdaptiveFingerprinter::provision(&train_ref, &scale.pipeline, scale.seed)
         .expect("provisioning succeeds");
 
-    let profiles = CorpusSpec::all_profiles(classes, scale.traces_per_class)
-        .into_iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let name = spec.site.name.clone();
-            let (_, ds) =
-                Dataset::generate(&spec, &TensorConfig::wiki(), scale.seed + 20 + i as u64)
-                    .expect("valid corpus");
+    let profiles = profile_datasets(scale, classes, scale.seed + 20)
+        .map(|(name, ds)| {
             let (reference, test) = ds.split_per_class(scale.test_fraction, scale.seed);
             let ref_embs = adversary.embed_all(reference.seqs());
             let query_embs = adversary.embed_all(test.seqs());
@@ -1069,18 +1041,7 @@ pub fn run_embed_profile(
     let n = seqs.len();
     let mean_steps = seqs.iter().map(|s| s.steps()).sum::<usize>() as f64 / n as f64;
 
-    let best_of = |f: &mut dyn FnMut()| -> f64 {
-        f(); // warm-up
-        let mut best = f64::INFINITY;
-        for _ in 0..passes.max(1) {
-            let t0 = std::time::Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-
-    let loop_secs = best_of(&mut || {
+    let (_, loop_secs) = measure::best_of(1, passes, || {
         for s in seqs {
             std::hint::black_box(embedder.embed_looped(s));
         }
@@ -1091,7 +1052,7 @@ pub fn run_embed_profile(
     let batch = FIG_EMBED_BATCH_SIZES
         .iter()
         .map(|&bs| {
-            let secs = best_of(&mut || {
+            let (_, secs) = measure::best_of(1, passes, || {
                 for chunk in seqs.chunks(bs) {
                     std::hint::black_box(embedder.embed_batch(chunk, &mut scratch).len());
                 }
@@ -1141,16 +1102,8 @@ pub fn run_fig_embed(scale: &Scale) -> FigEmbedResult {
     )
     .expect("paper config is valid");
     let classes = scale.open_world_monitored + scale.open_world_unmonitored;
-    let profiles = CorpusSpec::all_profiles(classes, scale.traces_per_class)
-        .into_iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let name = spec.site.name.clone();
-            let (_, ds) =
-                Dataset::generate(&spec, &TensorConfig::wiki(), scale.seed + 40 + i as u64)
-                    .expect("valid corpus");
-            run_embed_profile(&name, ds.seqs(), &embedder, scale.pipeline.threads, 3)
-        })
+    let profiles = profile_datasets(scale, classes, scale.seed + 40)
+        .map(|(name, ds)| run_embed_profile(&name, ds.seqs(), &embedder, scale.pipeline.threads, 3))
         .collect();
     FigEmbedResult {
         embedder: "paper(3): LSTM-30 -> 4x200 -> 32".to_string(),
@@ -1229,135 +1182,152 @@ pub struct FigShardResult {
     pub points: Vec<ShardScalePoint>,
 }
 
-/// Deterministic synthetic reference embeddings: `n_classes` clusters
-/// of `per_class` points, plus `n_queries` held-out same-cluster
-/// queries. Pure store-layer material — no model is trained, so the
-/// sweep reaches class counts far beyond what trace generation could.
-fn synthetic_store_corpus(
+/// Deterministic synthetic reference embeddings for the store-layer
+/// figures: `n_classes` clusters of [`FIG_SHARD_REFS_PER_CLASS`]
+/// points in [`FIG_SHARD_DIM`] dims, plus up to
+/// [`FIG_SHARD_MAX_QUERIES`] held-out same-cluster queries. No model is
+/// trained, so the sweeps reach class counts far beyond what trace
+/// generation could.
+struct SyntheticStore {
     n_classes: usize,
-    per_class: usize,
-    dim: usize,
-    n_queries: usize,
-    seed: u64,
-) -> (Vec<f32>, Vec<usize>, Vec<Vec<f32>>) {
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(n_classes * per_class * dim);
-    let mut labels = Vec::with_capacity(n_classes * per_class);
-    let mut centers = Vec::with_capacity(n_classes);
-    for c in 0..n_classes {
-        let center: Vec<f32> = (0..dim).map(|_| rng.random_range(-10.0f32..10.0)).collect();
-        for _ in 0..per_class {
-            for &v in &center {
-                data.push(v + rng.random_range(-0.35f32..0.35));
-            }
-            labels.push(c);
-        }
-        centers.push(center);
-    }
-    let queries = (0..n_queries)
-        .map(|i| {
-            let center = &centers[i % n_classes];
-            center
-                .iter()
-                .map(|&v| v + rng.random_range(-0.35f32..0.35))
-                .collect()
-        })
-        .collect();
-    (data, labels, queries)
+    data: Vec<f32>,
+    labels: Vec<usize>,
+    queries: Vec<Vec<f32>>,
 }
 
-/// Measures one class count: builds the unsharded flat monolith and
-/// the auto-sharded store (per-shard IVF at auto parameters) from the
-/// same rows, then compares build peak-memory proxies, query
-/// throughput, distance evaluations and recall@1.
-pub fn run_shard_point(n_classes: usize, threads: usize, seed: u64) -> ShardScalePoint {
-    use tlsfp_index::sharded::ShardedStore;
-    use tlsfp_index::{IndexConfig, Metric, Rows};
-    let dim = FIG_SHARD_DIM;
-    let per_class = FIG_SHARD_REFS_PER_CLASS;
-    let n_queries = n_classes.min(FIG_SHARD_MAX_QUERIES);
-    let (data, labels, queries) =
-        synthetic_store_corpus(n_classes, per_class, dim, n_queries, seed);
-    let rows = Rows::new(dim, &data);
-
-    let t0 = std::time::Instant::now();
-    let flat = ShardedStore::build(
-        &IndexConfig::Flat,
-        Metric::Euclidean,
-        rows,
-        &labels,
-        n_classes,
-        1,
-    );
-    let unsharded_build_seconds = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let sharded = ShardedStore::build(
-        &IndexConfig::ivf_default(),
-        Metric::Euclidean,
-        rows,
-        &labels,
-        n_classes,
-        0,
-    );
-    let sharded_build_seconds = t1.elapsed().as_secs_f64();
-
-    let time_batch = |store: &ShardedStore| -> (f64, Vec<tlsfp_index::SearchResult>) {
-        let mut best = f64::INFINITY;
-        let mut results = store.search_batch_concurrent(&queries, FIG_SHARD_K, threads);
-        for _ in 0..2 {
-            let t = std::time::Instant::now();
-            results = store.search_batch_concurrent(&queries, FIG_SHARD_K, threads);
-            best = best.min(t.elapsed().as_secs_f64());
+impl SyntheticStore {
+    fn generate(n_classes: usize, seed: u64) -> Self {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let (dim, per_class) = (FIG_SHARD_DIM, FIG_SHARD_REFS_PER_CLASS);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = Vec::with_capacity(n_classes * per_class * dim);
+        let mut labels = Vec::with_capacity(n_classes * per_class);
+        let mut centers = Vec::with_capacity(n_classes);
+        for c in 0..n_classes {
+            let center: Vec<f32> = (0..dim).map(|_| rng.random_range(-10.0f32..10.0)).collect();
+            for _ in 0..per_class {
+                for &v in &center {
+                    data.push(v + rng.random_range(-0.35f32..0.35));
+                }
+                labels.push(c);
+            }
+            centers.push(center);
         }
-        (best, results)
-    };
-    let (flat_secs, flat_results) = time_batch(&flat);
-    let (sharded_secs, sharded_results) = time_batch(&sharded);
-
-    let mut hit1 = 0usize;
-    let mut agree = 0usize;
-    let mut flat_evals = 0u64;
-    let mut sharded_evals = 0u64;
-    for (rf, rs) in flat_results.iter().zip(&sharded_results) {
-        flat_evals += rf.distance_evals;
-        sharded_evals += rs.distance_evals;
-        let truth = rf.top().expect("non-empty store");
-        if rs.top().map(|n| n.dist.to_bits()) == Some(truth.dist.to_bits()) {
-            hit1 += 1;
-        }
-        let flat_top = tlsfp_core::knn::rank_search(rf.clone()).prediction.top();
-        let sharded_top = tlsfp_core::knn::rank_search(rs.clone()).prediction.top();
-        if flat_top == sharded_top {
-            agree += 1;
+        let queries = (0..n_classes.min(FIG_SHARD_MAX_QUERIES))
+            .map(|i| {
+                let center = &centers[i % n_classes];
+                center
+                    .iter()
+                    .map(|&v| v + rng.random_range(-0.35f32..0.35))
+                    .collect()
+            })
+            .collect();
+        SyntheticStore {
+            n_classes,
+            data,
+            labels,
+            queries,
         }
     }
 
+    /// A `shards`-shard store (`0` = auto) of these rows on `config`.
+    fn build(&self, config: &IndexConfig, shards: usize) -> ShardedStore {
+        let rows = Rows::new(FIG_SHARD_DIM, &self.data);
+        ShardedStore::build(
+            config,
+            Metric::Euclidean,
+            rows,
+            &self.labels,
+            self.n_classes,
+            shards,
+        )
+    }
+}
+
+/// One store-scaling measurement: the exact flat monolith and a
+/// candidate store built from the same synthetic rows and served the
+/// same query batch.
+struct StorePoint {
+    n_reference: usize,
+    n_queries: usize,
+    flat_build_seconds: f64,
+    candidate_build_seconds: f64,
+    flat_queries_per_sec: f64,
+    candidate_queries_per_sec: f64,
+    /// Recall@1 matches by distance bits: the stores' ids differ, but
+    /// every backend scores its final candidates exactly on the raw
+    /// row, so a recovered true neighbour has the exact scan's bits.
+    cmp: measure::Comparison,
+    candidate: ShardedStore,
+}
+
+/// Builds the unsharded flat monolith and the auto-sharded `candidate`
+/// store (`shards = 0`) from one synthetic corpus, times both builds
+/// and the best of two batch passes per store (after one warm-up), and
+/// compares the candidate's results against the monolith's.
+fn run_store_point(
+    candidate: &IndexConfig,
+    n_classes: usize,
+    threads: usize,
+    seed: u64,
+) -> StorePoint {
+    let corpus = SyntheticStore::generate(n_classes, seed);
+    let queries = &corpus.queries;
+    let (flat, flat_build_seconds) = measure::time(|| corpus.build(&IndexConfig::Flat, 1));
+    let (store, candidate_build_seconds) = measure::time(|| corpus.build(candidate, 0));
+    let serve = |store: &ShardedStore| {
+        measure::best_of(1, 2, || {
+            store.search_batch_concurrent(queries, FIG_SHARD_K, threads)
+        })
+    };
+    let (flat_results, flat_secs) = serve(&flat);
+    let (candidate_results, candidate_secs) = serve(&store);
+    let nq = queries.len().max(1) as f64;
+    StorePoint {
+        n_reference: flat.len(),
+        n_queries: queries.len(),
+        flat_build_seconds,
+        candidate_build_seconds,
+        flat_queries_per_sec: nq / flat_secs.max(1e-12),
+        candidate_queries_per_sec: nq / candidate_secs.max(1e-12),
+        cmp: measure::compare(&flat_results, &candidate_results, |t, got| {
+            t.dist.to_bits() == got.dist.to_bits()
+        }),
+        candidate: store,
+    }
+}
+
+/// Measures one class count: the auto-sharded store with per-shard IVF
+/// at auto parameters against the unsharded flat monolith — build
+/// peak-memory proxies, query throughput, distance evaluations and
+/// recall@1.
+pub fn run_shard_point(n_classes: usize, threads: usize, seed: u64) -> ShardScalePoint {
+    let p = run_store_point(&IndexConfig::ivf_default(), n_classes, threads, seed);
+    let sharded = &p.candidate;
     let largest_shard = (0..sharded.n_shards())
         .map(|s| sharded.shard_len(s))
         .max()
         .unwrap_or(0);
-    let unsharded_peak_bytes = flat.len() * dim * std::mem::size_of::<f32>();
-    let sharded_peak_bytes = largest_shard * dim * std::mem::size_of::<f32>();
-    let nq = queries.len().max(1) as f64;
+    let unsharded_peak_bytes = p.n_reference * FIG_SHARD_DIM * std::mem::size_of::<f32>();
+    let sharded_peak_bytes = largest_shard * FIG_SHARD_DIM * std::mem::size_of::<f32>();
     ShardScalePoint {
         n_classes,
-        refs_per_class: per_class,
-        n_reference: flat.len(),
-        n_queries: queries.len(),
+        refs_per_class: FIG_SHARD_REFS_PER_CLASS,
+        n_reference: p.n_reference,
+        n_queries: p.n_queries,
         n_shards: sharded.n_shards(),
         unsharded_peak_bytes,
         sharded_peak_bytes,
         peak_fraction: sharded_peak_bytes as f64 / unsharded_peak_bytes.max(1) as f64,
-        unsharded_build_seconds,
-        sharded_build_seconds,
-        flat_queries_per_sec: nq / flat_secs.max(1e-12),
-        sharded_queries_per_sec: nq / sharded_secs.max(1e-12),
-        recall_at_1: hit1 as f64 / nq,
-        top1_agreement: agree as f64 / nq,
-        flat_distance_evals: flat_evals,
-        sharded_distance_evals: sharded_evals,
+        unsharded_build_seconds: p.flat_build_seconds,
+        sharded_build_seconds: p.candidate_build_seconds,
+        flat_queries_per_sec: p.flat_queries_per_sec,
+        sharded_queries_per_sec: p.candidate_queries_per_sec,
+        recall_at_1: p.cmp.recall_at_1,
+        top1_agreement: p.cmp.top1_agreement,
+        flat_distance_evals: p.cmp.exact_evals,
+        sharded_distance_evals: p.cmp.candidate_evals,
     }
 }
 
@@ -1438,99 +1408,34 @@ pub struct FigQuantResult {
     pub points: Vec<QuantScalePoint>,
 }
 
-/// Measures one class count: builds the exact flat monolith and the
-/// auto-sharded PQ store (per-shard sub-quantizer codebooks at auto
-/// parameters) from the same rows, then compares bytes/embedding,
-/// build time, query throughput and recall@1 after re-rank.
+/// Measures one class count: the auto-sharded PQ store (per-shard
+/// sub-quantizer codebooks at auto parameters) against the exact flat
+/// monolith — bytes/embedding, build time, query throughput and
+/// recall@1 after re-rank.
 pub fn run_quant_point(n_classes: usize, threads: usize, seed: u64) -> QuantScalePoint {
-    use tlsfp_index::pq::PqParams;
-    use tlsfp_index::sharded::ShardedStore;
-    use tlsfp_index::{IndexConfig, Metric, Rows};
-    let dim = FIG_SHARD_DIM;
-    let per_class = FIG_SHARD_REFS_PER_CLASS;
-    let n_queries = n_classes.min(FIG_SHARD_MAX_QUERIES);
-    let (data, labels, queries) =
-        synthetic_store_corpus(n_classes, per_class, dim, n_queries, seed);
-    let rows = Rows::new(dim, &data);
     let params = PqParams::auto();
-
-    let t0 = std::time::Instant::now();
-    let flat = ShardedStore::build(
-        &IndexConfig::Flat,
-        Metric::Euclidean,
-        rows,
-        &labels,
-        n_classes,
-        1,
-    );
-    let flat_build_seconds = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let pq = ShardedStore::build(
-        &IndexConfig::Pq(params),
-        Metric::Euclidean,
-        rows,
-        &labels,
-        n_classes,
-        0,
-    );
-    let pq_build_seconds = t1.elapsed().as_secs_f64();
-
-    let time_batch = |store: &ShardedStore| -> (f64, Vec<tlsfp_index::SearchResult>) {
-        let mut best = f64::INFINITY;
-        let mut results = store.search_batch_concurrent(&queries, FIG_SHARD_K, threads);
-        for _ in 0..2 {
-            let t = std::time::Instant::now();
-            results = store.search_batch_concurrent(&queries, FIG_SHARD_K, threads);
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        (best, results)
-    };
-    let (flat_secs, flat_results) = time_batch(&flat);
-    let (pq_secs, pq_results) = time_batch(&pq);
-
-    let mut hit1 = 0usize;
-    let mut agree = 0usize;
-    let mut flat_evals = 0u64;
-    let mut pq_evals = 0u64;
-    for (rf, rq) in flat_results.iter().zip(&pq_results) {
-        flat_evals += rf.distance_evals;
-        pq_evals += rq.distance_evals;
-        let truth = rf.top().expect("non-empty store");
-        // The PQ re-rank evaluates the configured metric on the raw
-        // row, so a recovered true neighbour has bit-identical
-        // distance to the exact scan's.
-        if rq.top().map(|n| n.dist.to_bits()) == Some(truth.dist.to_bits()) {
-            hit1 += 1;
-        }
-        let flat_top = tlsfp_core::knn::rank_search(rf.clone()).prediction.top();
-        let pq_top = tlsfp_core::knn::rank_search(rq.clone()).prediction.top();
-        if flat_top == pq_top {
-            agree += 1;
-        }
-    }
-
-    let m = params.resolved_m(dim);
-    let full_bytes = dim * std::mem::size_of::<f32>();
-    let nq = queries.len().max(1) as f64;
+    let p = run_store_point(&IndexConfig::Pq(params), n_classes, threads, seed);
+    let m = params.resolved_m(FIG_SHARD_DIM);
+    let full_bytes = FIG_SHARD_DIM * std::mem::size_of::<f32>();
     QuantScalePoint {
         n_classes,
-        refs_per_class: per_class,
-        n_reference: flat.len(),
-        n_queries: queries.len(),
-        n_shards: pq.n_shards(),
+        refs_per_class: FIG_SHARD_REFS_PER_CLASS,
+        n_reference: p.n_reference,
+        n_queries: p.n_queries,
+        n_shards: p.candidate.n_shards(),
         m,
         rerank: params.resolved_rerank(),
         full_bytes_per_embedding: full_bytes,
         code_bytes_per_embedding: m,
         memory_reduction: full_bytes as f64 / m.max(1) as f64,
-        flat_build_seconds,
-        pq_build_seconds,
-        flat_queries_per_sec: nq / flat_secs.max(1e-12),
-        pq_queries_per_sec: nq / pq_secs.max(1e-12),
-        recall_at_1: hit1 as f64 / nq,
-        top1_agreement: agree as f64 / nq,
-        flat_distance_evals: flat_evals,
-        pq_distance_evals: pq_evals,
+        flat_build_seconds: p.flat_build_seconds,
+        pq_build_seconds: p.candidate_build_seconds,
+        flat_queries_per_sec: p.flat_queries_per_sec,
+        pq_queries_per_sec: p.candidate_queries_per_sec,
+        recall_at_1: p.cmp.recall_at_1,
+        top1_agreement: p.cmp.top1_agreement,
+        flat_distance_evals: p.cmp.exact_evals,
+        pq_distance_evals: p.cmp.candidate_evals,
     }
 }
 
@@ -1604,43 +1509,21 @@ pub struct FigConcurrentResult {
 /// the sweep isolates fan-out overhead and lock contention; every cell
 /// is checked bit-identical to its 1-worker column.
 pub fn run_fig_concurrent(scale: &Scale) -> FigConcurrentResult {
-    use tlsfp_index::sharded::ShardedStore;
-    use tlsfp_index::{IndexConfig, Metric, Rows};
-    let dim = FIG_SHARD_DIM;
-    let per_class = FIG_SHARD_REFS_PER_CLASS;
     let n_classes = scale.concurrent_classes;
-    let n_queries = n_classes.min(FIG_SHARD_MAX_QUERIES);
-    let (data, labels, queries) =
-        synthetic_store_corpus(n_classes, per_class, dim, n_queries, scale.seed + 70);
+    let corpus = SyntheticStore::generate(n_classes, scale.seed + 70);
+    let queries = &corpus.queries;
 
     let mut points = Vec::new();
     for &shards in &FIG_CONCURRENT_SHARDS {
-        let store = ShardedStore::build(
-            &IndexConfig::Flat,
-            Metric::Euclidean,
-            Rows::new(dim, &data),
-            &labels,
-            n_classes,
-            shards,
-        );
-        let baseline = store.search_batch_concurrent(&queries, FIG_SHARD_K, 1);
-        let baseline_top: Vec<Option<usize>> = baseline
-            .iter()
-            .map(|r| tlsfp_core::knn::rank_search(r.clone()).prediction.top())
-            .collect();
+        let store = corpus.build(&IndexConfig::Flat, shards);
+        let baseline = store.search_batch_concurrent(queries, FIG_SHARD_K, 1);
+        let baseline_top = measure::top1_labels(&baseline);
         let mut qps_at_1 = 0.0;
         for &workers in &FIG_CONCURRENT_WORKERS {
-            let mut best = f64::INFINITY;
-            let mut results = store.search_batch_concurrent(&queries, FIG_SHARD_K, workers);
-            for _ in 0..3 {
-                let t = std::time::Instant::now();
-                results = store.search_batch_concurrent(&queries, FIG_SHARD_K, workers);
-                best = best.min(t.elapsed().as_secs_f64());
-            }
-            let top: Vec<Option<usize>> = results
-                .iter()
-                .map(|r| tlsfp_core::knn::rank_search(r.clone()).prediction.top())
-                .collect();
+            let (results, best) = measure::best_of(1, 3, || {
+                store.search_batch_concurrent(queries, FIG_SHARD_K, workers)
+            });
+            let top = measure::top1_labels(&results);
             let queries_per_sec = queries.len() as f64 / best.max(1e-12);
             if workers == 1 {
                 qps_at_1 = queries_per_sec;
@@ -1657,11 +1540,11 @@ pub fn run_fig_concurrent(scale: &Scale) -> FigConcurrentResult {
     }
     FigConcurrentResult {
         n_classes,
-        refs_per_class: per_class,
-        n_reference: n_classes * per_class,
+        refs_per_class: FIG_SHARD_REFS_PER_CLASS,
+        n_reference: n_classes * FIG_SHARD_REFS_PER_CLASS,
         n_queries: queries.len(),
         k: FIG_SHARD_K,
-        available_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        available_cores: measure::available_cores(),
         points,
     }
 }
@@ -1800,15 +1683,6 @@ pub fn run_fig_telemetry(scale: &Scale) -> FigTelemetryResult {
     let chunk_rounds = FIG_TELEMETRY_MIN_TIMED_TRACES
         .div_ceil(FIG_TELEMETRY_PAIRS.max(1) * test.len().max(1))
         .max(1);
-    let chunk = |fp: &AdaptiveFingerprinter| -> f64 {
-        let t0 = std::time::Instant::now();
-        for _ in 0..chunk_rounds {
-            for b in &batches {
-                std::hint::black_box(fp.fingerprint_with_score_all(b).len());
-            }
-        }
-        t0.elapsed().as_secs_f64()
-    };
 
     tlsfp_telemetry::set_enabled(false);
     let off_outputs = serve(&fp); // doubles as the warm-up pass
@@ -1816,39 +1690,13 @@ pub fn run_fig_telemetry(scale: &Scale) -> FigTelemetryResult {
     tlsfp_telemetry::reset();
     let on_outputs = serve(&fp);
 
-    // Timed chunks run in back-to-back off/on pairs, alternating
-    // which mode leads each pair. A chunk is a few milliseconds, so
-    // frequency scaling and scheduler bursts — the dominant noise on
-    // a shared host, and an order of magnitude larger than the effect
-    // being measured — hit both members of a pair about equally and
-    // cancel out of its ratio; the median across pairs then discards
-    // the pairs a burst did split.
-    let mut off_times = Vec::with_capacity(FIG_TELEMETRY_PAIRS);
-    let mut on_times = Vec::with_capacity(FIG_TELEMETRY_PAIRS);
-    let mut pair_ratios = Vec::with_capacity(FIG_TELEMETRY_PAIRS);
-    for i in 0..FIG_TELEMETRY_PAIRS.max(1) {
-        let mut t = [0.0f64; 2]; // indexed by `on`
-        for &on in &[i % 2 == 1, i % 2 == 0] {
-            tlsfp_telemetry::set_enabled(on);
-            t[on as usize] = chunk(&fp);
+    let timed = measure::paired(FIG_TELEMETRY_PAIRS, tlsfp_telemetry::set_enabled, || {
+        for _ in 0..chunk_rounds {
+            for b in &batches {
+                std::hint::black_box(fp.fingerprint_with_score_all(b).len());
+            }
         }
-        off_times.push(t[0]);
-        on_times.push(t[1]);
-        pair_ratios.push(t[1] / t[0].max(1e-12));
-    }
-    tlsfp_telemetry::set_enabled(true);
-    if std::env::var("FIG_TELEMETRY_DEBUG").is_ok() {
-        eprintln!("off_times:   {off_times:?}");
-        eprintln!("on_times:    {on_times:?}");
-        eprintln!("pair_ratios: {pair_ratios:?}");
-    }
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let off_seconds = median(&mut off_times);
-    let on_seconds = median(&mut on_times);
-    let overhead_ratio = median(&mut pair_ratios);
+    });
 
     // Stage percentiles over everything the enabled passes recorded.
     let snap = tlsfp_telemetry::global().snapshot();
@@ -1879,10 +1727,10 @@ pub fn run_fig_telemetry(scale: &Scale) -> FigTelemetryResult {
         n_queries: test.len(),
         batch_size: FIG_TELEMETRY_BATCH,
         n_shards: FIG_TELEMETRY_SHARDS,
-        available_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        off_seconds,
-        on_seconds,
-        overhead_ratio,
+        available_cores: measure::available_cores(),
+        off_seconds: timed.off_seconds,
+        on_seconds: timed.on_seconds,
+        overhead_ratio: timed.ratio,
         decisions_identical: off_outputs.iter().zip(&on_outputs).all(|(a, b)| a.0 == b.0),
         score_bits_identical: off_outputs == on_outputs,
         stages,
@@ -1956,77 +1804,39 @@ pub struct FigBatchScanResult {
 /// batched pass is checked bit-identical to the single queries.
 pub fn run_batchscan_backend(
     backend: &str,
-    config: &tlsfp_index::IndexConfig,
+    config: &IndexConfig,
     n_classes: usize,
     seed: u64,
 ) -> Vec<BatchScanPoint> {
-    use tlsfp_index::sharded::ShardedStore;
-    use tlsfp_index::{Metric, Rows, SearchResult};
-    let dim = FIG_SHARD_DIM;
-    let per_class = FIG_SHARD_REFS_PER_CLASS;
-    let n_queries = n_classes.min(FIG_SHARD_MAX_QUERIES);
-    let (data, labels, queries) =
-        synthetic_store_corpus(n_classes, per_class, dim, n_queries, seed);
-    let store = ShardedStore::build(
-        config,
-        Metric::Euclidean,
-        Rows::new(dim, &data),
-        &labels,
-        n_classes,
-        1,
-    );
+    let corpus = SyntheticStore::generate(n_classes, seed);
+    let queries = &corpus.queries;
+    let store = corpus.build(config, 1);
 
-    let best_of = |f: &mut dyn FnMut()| -> f64 {
-        f(); // warm-up
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    };
-
-    let serial: Vec<SearchResult> = queries
-        .iter()
-        .map(|q| store.search_concurrent(q, FIG_SHARD_K, 1))
-        .collect();
-    let serial_top: Vec<Option<usize>> = serial
-        .iter()
-        .map(|r| tlsfp_core::knn::rank_search(r.clone()).prediction.top())
-        .collect();
-    let serial_secs = best_of(&mut || {
-        for q in &queries {
-            std::hint::black_box(store.search_concurrent(q, FIG_SHARD_K, 1).neighbors.len());
-        }
+    // Every timed pass's own output feeds the identity flags.
+    let (serial, serial_secs) = measure::best_of(1, 3, || {
+        queries
+            .iter()
+            .map(|q| store.search_concurrent(q, FIG_SHARD_K, 1))
+            .collect::<Vec<_>>()
     });
+    let serial_top = measure::top1_labels(&serial);
     let nq = queries.len().max(1) as f64;
     let per_query_qps = nq / serial_secs.max(1e-12);
 
     FIG_BATCHSCAN_BATCH_SIZES
         .iter()
         .map(|&bs| {
-            let run_chunked = |workers: usize| -> Vec<SearchResult> {
-                queries
-                    .chunks(bs)
-                    .flat_map(|c| store.search_batch_concurrent(c, FIG_SHARD_K, workers))
-                    .collect()
+            let run_chunked = |workers: usize| {
+                measure::best_of(1, 3, || {
+                    queries
+                        .chunks(bs)
+                        .flat_map(|c| store.search_batch_concurrent(c, FIG_SHARD_K, workers))
+                        .collect::<Vec<_>>()
+                })
             };
-            let batched_secs = best_of(&mut || {
-                for c in queries.chunks(bs) {
-                    std::hint::black_box(store.search_batch_concurrent(c, FIG_SHARD_K, 0).len());
-                }
-            });
-            let blocked_1worker_secs = best_of(&mut || {
-                for c in queries.chunks(bs) {
-                    std::hint::black_box(store.search_batch_concurrent(c, FIG_SHARD_K, 1).len());
-                }
-            });
-            let batched = run_chunked(0);
-            let batched_top: Vec<Option<usize>> = batched
-                .iter()
-                .map(|r| tlsfp_core::knn::rank_search(r.clone()).prediction.top())
-                .collect();
+            let (batched, batched_secs) = run_chunked(0);
+            let (blocked_1worker, blocked_1worker_secs) = run_chunked(1);
+            let batched_top = measure::top1_labels(&batched);
             let batched_qps = nq / batched_secs.max(1e-12);
             let blocked_1worker_qps = nq / blocked_1worker_secs.max(1e-12);
             BatchScanPoint {
@@ -2041,7 +1851,7 @@ pub fn run_batchscan_backend(
                 batched_speedup: batched_qps / per_query_qps.max(1e-12),
                 blocked_1worker_speedup: blocked_1worker_qps / per_query_qps.max(1e-12),
                 decisions_identical: batched_top == serial_top,
-                score_bits_identical: batched == serial && run_chunked(1) == serial,
+                score_bits_identical: batched == serial && blocked_1worker == serial,
             }
         })
         .collect()
@@ -2053,7 +1863,6 @@ pub fn run_batchscan_backend(
 /// amortized across the whole query block on every backend, with
 /// bit-identity to single queries checked per cell.
 pub fn run_fig_batchscan(scale: &Scale) -> FigBatchScanResult {
-    use tlsfp_index::{IndexConfig, PqParams};
     let mut points = Vec::new();
     for &n_classes in &scale.batchscan_sweep {
         let configs = [
@@ -2073,7 +1882,7 @@ pub fn run_fig_batchscan(scale: &Scale) -> FigBatchScanResult {
     FigBatchScanResult {
         k: FIG_SHARD_K,
         refs_per_class: FIG_SHARD_REFS_PER_CLASS,
-        available_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        available_cores: measure::available_cores(),
         points,
     }
 }
@@ -2268,12 +2077,13 @@ pub fn run_early_profile(
     fractions.dedup();
 
     // Batch anchors (and the full-trace latency measurement).
-    let t0 = std::time::Instant::now();
-    let batch: Vec<_> = eval
-        .iter()
-        .map(|(_, c)| adversary.fingerprint_with_score(&tensor.tensorize(&IpSequences::extract(c))))
-        .collect();
-    let full_latency_seconds = t0.elapsed().as_secs_f64();
+    let (batch, full_latency_seconds) = measure::time(|| {
+        eval.iter()
+            .map(|(_, c)| {
+                adversary.fingerprint_with_score(&tensor.tensorize(&IpSequences::extract(c)))
+            })
+            .collect::<Vec<_>>()
+    });
 
     // The prefix sweep: stream each trace once, deciding (without a
     // policy) at every fraction boundary. Monitored traces feed the
@@ -2325,38 +2135,38 @@ pub fn run_early_profile(
     let mut decision_fractions = Vec::with_capacity(eval.len());
     let mut ttd_us = Vec::with_capacity(eval.len());
     let mut durations_us = Vec::with_capacity(eval.len());
-    let t0 = std::time::Instant::now();
-    for (label, capture) in &eval {
-        let records = capture.packets.len();
-        let chunk = records.div_ceil(FIG_EARLY_CHECKPOINTS).max(1);
-        let mut session = adversary.start_session(tensor, capture.client);
-        let mut decision = None;
-        for window in capture.packets.chunks(chunk) {
-            adversary.feed_chunk(&mut session, window);
-            let d = adversary.decide_now(&mut session, Some(&policy));
-            decision = d.decision;
-            if d.accepted {
-                break;
+    let ((), early_latency_seconds) = measure::time(|| {
+        for (label, capture) in &eval {
+            let records = capture.packets.len();
+            let chunk = records.div_ceil(FIG_EARLY_CHECKPOINTS).max(1);
+            let mut session = adversary.start_session(tensor, capture.client);
+            let mut decision = None;
+            for window in capture.packets.chunks(chunk) {
+                adversary.feed_chunk(&mut session, window);
+                let d = adversary.decide_now(&mut session, Some(&policy));
+                decision = d.decision;
+                if d.accepted {
+                    break;
+                }
+            }
+            let start_us = capture.packets.first().map_or(0, |p| p.timestamp_us);
+            let duration_us = capture.duration_us().max(1);
+            let (consumed, decided_us) = match session.early_decision() {
+                Some(e) => {
+                    latched += 1;
+                    let at = capture.packets[e.records.min(records) - 1].timestamp_us;
+                    (e.records, at.saturating_sub(start_us))
+                }
+                None => (records, duration_us),
+            };
+            decision_fractions.push(consumed as f64 / records.max(1) as f64);
+            ttd_us.push(decided_us as f64);
+            durations_us.push(duration_us as f64);
+            if decision == Some(*label) {
+                early_correct += 1;
             }
         }
-        let start_us = capture.packets.first().map_or(0, |p| p.timestamp_us);
-        let duration_us = capture.duration_us().max(1);
-        let (consumed, decided_us) = match session.early_decision() {
-            Some(e) => {
-                latched += 1;
-                let at = capture.packets[e.records.min(records) - 1].timestamp_us;
-                (e.records, at.saturating_sub(start_us))
-            }
-            None => (records, duration_us),
-        };
-        decision_fractions.push(consumed as f64 / records.max(1) as f64);
-        ttd_us.push(decided_us as f64);
-        durations_us.push(duration_us as f64);
-        if decision == Some(*label) {
-            early_correct += 1;
-        }
-    }
-    let early_latency_seconds = t0.elapsed().as_secs_f64();
+    });
 
     let n_eval = eval.len().max(1) as f64;
     let n_open = open_captures.len().max(1) as f64;
@@ -3126,14 +2936,12 @@ mod tests {
                 profile.name(),
                 pq.code_bytes_per_vector()
             );
-            let hits = query_e
-                .iter()
-                .filter(|q| {
-                    let truth = flat.search(q, 1).top().expect("non-empty reference");
-                    pq.search(q, 1).top().map(|n| n.dist.to_bits()) == Some(truth.dist.to_bits())
-                })
-                .count();
-            let recall = hits as f64 / query_e.len().max(1) as f64;
+            let recall = measure::compare(
+                &flat.search_batch(&query_e, 1, 1),
+                &pq.search_batch(&query_e, 1, 1),
+                |t, got| t.dist.to_bits() == got.dist.to_bits(),
+            )
+            .recall_at_1;
             assert!(
                 recall >= 0.9,
                 "{}: recall@1 {:.3} below 0.9 (m={}, ksub={})",

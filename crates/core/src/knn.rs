@@ -158,13 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn cosine_metric_works() {
-        let r = flat(Metric::Cosine, &[(0, vec![1.0, 0.0]), (1, vec![0.0, 1.0])]);
-        assert_eq!(classify(&r, &[0.9, 0.1], 1).top(), Some(0));
-        assert_eq!(classify(&r, &[0.1, 0.9], 1).top(), Some(1));
-    }
-
-    #[test]
     fn score_is_the_nearest_reference_distance() {
         let r = reference();
         let near = rank_search(r.search(&[0.05], 4));

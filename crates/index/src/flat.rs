@@ -122,6 +122,7 @@ impl VectorIndex for FlatIndex {
     /// every query while hot in cache, every query's heap fed its rows
     /// in ascending row order.
     fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
+        crate::assert_query_dims(queries, self.dim);
         let results =
             crate::kernels::flat_search_block(self.rows(), &self.labels, self.metric, queries, k);
         crate::kernels::record_block_size!("flat", queries.len());

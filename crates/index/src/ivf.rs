@@ -363,6 +363,7 @@ impl VectorIndex for IvfIndex {
     /// costs one eval per centroid plus one per row of its probed
     /// lists.
     fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
+        crate::assert_query_dims(queries, self.dim);
         let total = self.len();
         let nq = queries.len();
         if total == 0 {

@@ -49,7 +49,7 @@ use std::collections::BinaryHeap;
 use serde::{Deserialize, Serialize};
 
 use tlsfp_nn::parallel::map_elems;
-use tlsfp_nn::tensor::{cosine_distance, euclidean_sq};
+use tlsfp_nn::tensor::euclidean_sq;
 
 /// Records one query's result into the per-backend registry counters
 /// (`tlsfp_queries_total` / `tlsfp_distance_evals_total`, labeled
@@ -89,15 +89,16 @@ pub use kernels::{auto_query_block, MAX_QUERY_BLOCK};
 pub use pq::{PqIndex, PqParams};
 pub use sharded::{resolve_shards, shard_of, ShardedStore, StoreBalance};
 
-/// Distance metric between embeddings.
+/// Distance metric between embeddings: Euclidean, the paper's choice
+/// (Table I) and the only one. It stays a one-variant enum so
+/// constructors, [`VectorIndex::metric`] and snapshots (`"metric":
+/// "Euclidean"`) keep their shape; a snapshot naming any other metric
+/// is refused on load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Metric {
-    /// Euclidean distance (the paper's choice, Table I). Evaluated as
-    /// the *squared* distance, which preserves ordering and skips the
-    /// square root.
+    /// Euclidean distance, evaluated as the *squared* distance, which
+    /// preserves ordering and skips the square root.
     Euclidean,
-    /// Cosine distance.
-    Cosine,
 }
 
 impl Metric {
@@ -111,13 +112,11 @@ impl Metric {
     /// use tlsfp_index::Metric;
     /// // Euclidean is the *squared* distance (ordering-preserving).
     /// assert_eq!(Metric::Euclidean.eval(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-    /// assert_eq!(Metric::Cosine.eval(&[1.0, 0.0], &[1.0, 0.0]), 0.0);
     /// ```
     #[inline]
     pub fn eval(self, a: &[f32], b: &[f32]) -> f32 {
         match self {
             Metric::Euclidean => euclidean_sq(a, b),
-            Metric::Cosine => cosine_distance(a, b),
         }
     }
 }
@@ -227,10 +226,19 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
     /// query's result must not depend on the block it arrives in: the
     /// kernel preserves per-(query, row) accumulation order and keeps
     /// selection state per query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any query's length differs from `dim()`, empty index
+    /// included.
     fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult>;
 
     /// Finds the `k` nearest stored vectors to `query`: a block of one
     /// through [`VectorIndex::search_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len() != dim()`.
     fn search(&self, query: &[f32], k: usize) -> SearchResult {
         self.search_block(&[query.to_vec()], k)
             .pop()
@@ -432,6 +440,15 @@ pub fn compact_remove_label(
     removed
 }
 
+/// Every query entry's dimension check. The distance kernels zip rows
+/// against the query, so a wrong-length query would otherwise be
+/// served silently (or index out of bounds) in release builds.
+pub(crate) fn assert_query_dims(queries: &[Vec<f32>], dim: usize) {
+    for query in queries {
+        assert_eq!(query.len(), dim, "query dim mismatch");
+    }
+}
+
 /// The canonical neighbor order: `(dist, id)` ascending, distances
 /// under `total_cmp` — total, so it never depends on scan order.
 pub(crate) fn by_dist_id(a: &Neighbor, b: &Neighbor) -> Ordering {
@@ -492,7 +509,6 @@ mod tests {
         let a = [1.0f32, 2.0, -3.0];
         let b = [0.5f32, 2.0, 1.0];
         assert_eq!(Metric::Euclidean.eval(&a, &b), euclidean_sq(&a, &b));
-        assert_eq!(Metric::Cosine.eval(&a, &b), cosine_distance(&a, &b));
     }
 
     #[test]

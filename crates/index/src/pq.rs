@@ -29,11 +29,9 @@
 //! beside its `m` codes, and those rows are also what
 //! [`VectorIndex::export`] hands a rebuild.
 //!
-//! Codebooks are always trained and scanned under squared Euclidean
-//! distance — the one metric that decomposes over sub-spaces — while
-//! the re-rank applies the index's configured [`Metric`], so a cosine
-//! deployment still gets exact cosine distances on everything it
-//! returns.
+//! Codebooks are trained and scanned under squared Euclidean distance,
+//! the one [`Metric`], which decomposes over sub-spaces; the re-rank
+//! evaluates the same metric on the full rows.
 //!
 //! Like IVF, the quantizer is **frozen at build time**: `add` encodes
 //! against the existing codebooks, `remove_label` compacts in place,
@@ -178,8 +176,6 @@ impl PqIndex {
 
         // Train per-sub-space codebooks: gather each sub-vector column
         // into contiguous rows and run the shared deterministic k-means.
-        // Always Euclidean — the only metric that decomposes over
-        // sub-spaces; the configured metric applies at re-rank.
         let mut codebooks = vec![0.0f32; m * ksub * sub_dim];
         if sub_dim > 0 {
             let mut sub = vec![0.0f32; n * sub_dim];
@@ -291,6 +287,7 @@ impl VectorIndex for PqIndex {
     /// set), and those are re-ranked exactly, so no result depends on
     /// the block.
     fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
+        crate::assert_query_dims(queries, self.dim);
         let n = self.len();
         let nq = queries.len();
         if n == 0 {
@@ -582,24 +579,6 @@ mod tests {
             assert_eq!(exact.neighbors, truth_sorted);
             assert_eq!(exact.nearest.to_bits(), truth.nearest.to_bits());
         }
-    }
-
-    #[test]
-    fn cosine_rerank_reports_exact_cosine_distances() {
-        let dim = 8;
-        let (data, labels) = clustered(6, 4, dim, 21);
-        let rows = Rows::new(dim, &data);
-        let pq = PqIndex::build(
-            PqParams::new(4, labels.len()),
-            Metric::Cosine,
-            rows,
-            &labels,
-        );
-        let flat = FlatIndex::from_rows(Metric::Cosine, rows, &labels);
-        let q = vec![0.5f32; dim];
-        let top = pq.search(&q, 1).top().unwrap();
-        let truth = flat.search(&q, 1).top().unwrap();
-        assert_eq!(top.dist.to_bits(), truth.dist.to_bits());
     }
 
     #[test]

@@ -874,6 +874,10 @@ impl ShardedStore {
     /// One query: a batch of one through
     /// [`ShardedStore::search_batch_concurrent`] — one (shard, block)
     /// task per shard across `workers` threads (`0` = all cores).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len() != dim()`.
     pub fn search_concurrent(&self, query: &[f32], k: usize, workers: usize) -> SearchResult {
         self.search_batch_concurrent(&[query.to_vec()], k, workers)
             .pop()
@@ -891,12 +895,18 @@ impl ShardedStore {
     /// under the ordered-commit rule. Each query's result is
     /// bit-identical at every worker count and every batch
     /// composition.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the calling thread if any query's length differs from
+    /// `dim()`, whatever the shards hold.
     pub fn search_batch_concurrent(
         &self,
         queries: &[Vec<f32>],
         k: usize,
         workers: usize,
     ) -> Vec<SearchResult> {
+        crate::assert_query_dims(queries, self.dim);
         if queries.is_empty() {
             return Vec::new();
         }

@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use tlsfp_index::sharded::ShardedStore;
-use tlsfp_index::{FlatIndex, IndexConfig, IvfParams, Metric, Rows, SearchResult};
+use tlsfp_index::{FlatIndex, IndexConfig, IvfParams, Metric, PqParams, Rows, SearchResult};
 
 fn hash(v: u64) -> u64 {
     v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
@@ -529,6 +529,57 @@ fn rebuilds_keep_insertion_order_on_every_backend() {
             round_trip.set_index(config);
         }
         assert_eq!(&round_trip, flat, "round trip at shards={shards}");
+    }
+}
+
+/// The formatted panic message `f` raised; fails if `f` returned.
+fn panic_message<R>(f: impl FnOnce() -> R) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    *payload
+        .err()
+        .expect("a wrong-dimension query was served")
+        .downcast::<String>()
+        .expect("a formatted panic message")
+}
+
+/// Every query entry refuses a query of the wrong dimension with a
+/// panic naming both dims — each backend, full and empty, and the
+/// store at one and three shards (two classes leave the third shard
+/// empty) — instead of serving it or slicing out of bounds.
+#[test]
+fn wrong_dimension_queries_panic_naming_both_dims() {
+    const DIM: usize = 4;
+    for config in [
+        IndexConfig::Flat,
+        IndexConfig::ivf_default(),
+        IndexConfig::Pq(PqParams::auto()),
+    ] {
+        let stores = [1usize, 3].map(|shards| build_store(&config, DIM, 2, 6, shards));
+        let (labels, data) = stores[0].shard_snapshot(0);
+        let full = config.build(Metric::Euclidean, Rows::new(DIM, &data), &labels);
+        let empty = config.build(Metric::Euclidean, Rows::new(DIM, &[]), &[]);
+        for bad in [3usize, 5] {
+            let query = vec![0.5f32; bad];
+            let block = [query.clone()];
+            let mut messages = vec![
+                panic_message(|| full.search(&query, 3)),
+                panic_message(|| empty.search_block(&block, 3)),
+            ];
+            for store in &stores {
+                messages.push(panic_message(|| store.search_concurrent(&query, 3, 1)));
+                messages.push(panic_message(|| {
+                    store.search_batch_concurrent(&block, 3, 2)
+                }));
+            }
+            for message in &messages {
+                assert!(
+                    message.contains("query dim mismatch")
+                        && message.contains(&format!("left: {bad}"))
+                        && message.contains(&format!("right: {DIM}")),
+                    "{config:?} dim {bad}: {message}"
+                );
+            }
+        }
     }
 }
 

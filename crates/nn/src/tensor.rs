@@ -444,18 +444,6 @@ pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
     euclidean_sq(a, b).sqrt()
 }
 
-/// Cosine distance (`1 − cosine similarity`); returns 1.0 when either
-/// vector is all-zero.
-#[inline]
-pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
-    let na = dot(a, a).sqrt();
-    let nb = dot(b, b).sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return 1.0;
-    }
-    1.0 - dot(a, b) / (na * nb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,15 +486,6 @@ mod tests {
     fn euclidean_distance_basic() {
         assert_eq!(euclidean(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
         assert_eq!(euclidean_sq(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn cosine_distance_bounds() {
-        assert!((cosine_distance(&[1.0, 0.0], &[1.0, 0.0])).abs() < 1e-6);
-        assert!((cosine_distance(&[1.0, 0.0], &[0.0, 1.0]) - 1.0).abs() < 1e-6);
-        assert!((cosine_distance(&[1.0, 0.0], &[-1.0, 0.0]) - 2.0).abs() < 1e-6);
-        // Degenerate zero vector.
-        assert_eq!(cosine_distance(&[0.0, 0.0], &[1.0, 1.0]), 1.0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! models — run them with `cargo test -- --ignored`.
 
 use tlsfp::core::pipeline::{AdaptiveFingerprinter, PipelineConfig};
+use tlsfp::index::{IndexConfig, Metric, Rows, ServingIndex, ShardedStore};
 use tlsfp::trace::dataset::Dataset;
 use tlsfp::trace::sequence::IpSequences;
 use tlsfp::trace::tensorize::TensorConfig;
@@ -53,6 +54,28 @@ fn deployment_survives_serialization() {
     for t in ds.seqs().iter().take(5) {
         assert_eq!(adversary.fingerprint(t), restored.fingerprint(t));
     }
+}
+
+/// Euclidean is the one metric: a backend, a sharded store or a whole
+/// deployment whose snapshot names another metric is refused on load,
+/// never turned into a store that silently serves Euclidean.
+#[test]
+fn snapshots_naming_another_metric_are_refused() {
+    let adversary = tlsfp_testkit::tiny_adversary();
+    let store = adversary.reference();
+    let (labels, data) = store.shard_snapshot(0);
+    let backend =
+        IndexConfig::Flat.build(Metric::Euclidean, Rows::new(store.dim(), &data), &labels);
+    let renamed = |json: String| {
+        assert!(json.contains(r#""metric":"Euclidean""#), "no metric key");
+        json.replace(r#""metric":"Euclidean""#, r#""metric":"Cosine""#)
+    };
+    let backend_json = renamed(serde_json::to_string(&backend).unwrap());
+    assert!(serde_json::from_str::<ServingIndex>(&backend_json).is_err());
+    let store_json = renamed(serde_json::to_string(store).unwrap());
+    assert!(serde_json::from_str::<ShardedStore>(&store_json).is_err());
+    let deployment_json = renamed(adversary.to_json().unwrap());
+    assert!(AdaptiveFingerprinter::from_json(&deployment_json).is_err());
 }
 
 #[test]
