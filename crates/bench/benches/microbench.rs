@@ -5,11 +5,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tlsfp_core::knn::{rank_search, Metric};
-use tlsfp_index::{FlatIndex, IvfIndex, IvfParams, PqIndex, PqParams, Rows, VectorIndex};
+use tlsfp_index::{
+    FlatIndex, IndexConfig, IvfIndex, IvfParams, PqIndex, PqParams, Rows, ShardedStore, VectorIndex,
+};
 use tlsfp_nn::embedding::{EmbedderConfig, SequenceEmbedder};
 use tlsfp_nn::lstm::Lstm;
 use tlsfp_nn::optim::Sgd;
 use tlsfp_nn::pairs::{random_pairs, ClassIndex};
+use tlsfp_nn::parallel::map_elems;
 use tlsfp_nn::seq::SeqInput;
 use tlsfp_nn::siamese::SiameseTrainer;
 use tlsfp_trace::sequence::IpSequences;
@@ -168,6 +171,40 @@ fn bench_components(c: &mut Criterion) {
             group.finish();
         }
     }
+
+    // The `live` serving shape: one query fanned out over 45 flat
+    // shards on 2 workers, merged to k = 250, then voted.
+    {
+        use rand::RngExt;
+        let mut r = StdRng::seed_from_u64(13);
+        let (n_rows, dim, n_classes) = (16_000usize, 24usize, 2_000usize);
+        let mut data = Vec::with_capacity(n_rows * dim);
+        let mut labels = Vec::with_capacity(n_rows);
+        for i in 0..n_rows {
+            let center = (i % n_classes) as f32 / 500.0;
+            data.extend((0..dim).map(|_| center + r.random_range(-1.0..1.0)));
+            labels.push(i % n_classes);
+        }
+        let store = ShardedStore::build(
+            &IndexConfig::Flat,
+            Metric::Euclidean,
+            Rows::new(dim, &data),
+            &labels,
+            n_classes,
+            45,
+        );
+        let query: Vec<f32> = (0..dim).map(|_| r.random_range(-1.0..5.0)).collect();
+        c.bench_function("index/sharded_search/live_shape", |b| {
+            b.iter(|| std::hint::black_box(rank_search(store.search_concurrent(&query, 250, 2))))
+        });
+    }
+
+    // Dispatch cost of one parallel call: 45 trivial items on 2
+    // threads, the shape of the `live` shard fan-out.
+    let items: Vec<u64> = (0..45).collect();
+    c.bench_function("nn/map_elems_dispatch", |b| {
+        b.iter(|| std::hint::black_box(map_elems(&items, 2, |x| x + 1)))
+    });
 }
 
 criterion_group! {

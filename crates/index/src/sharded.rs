@@ -66,9 +66,10 @@
 //!    decides *which* queries share a worker's row loads.
 //! 3. **Ordered commit.** Workers finish in any order, but per-shard
 //!    results are merged strictly in shard order (ids remapped, then
-//!    one sort under `(dist, global id)`), so the merged neighbor
-//!    list, the `nearest` fold and the eval counter are bit-identical
-//!    to the sequential pass at every worker count.
+//!    the `k` smallest selected and sorted under `(dist, global id)`),
+//!    so the merged neighbor list, the `nearest` fold and the eval
+//!    counter are bit-identical to the sequential pass at every worker
+//!    count.
 //!
 //! Every query takes this one fan-out and merge:
 //! [`ShardedStore::search_concurrent`] is a batch of one through
@@ -831,9 +832,12 @@ impl ShardedStore {
     /// The ordered-commit merge: consumes per-shard results **in shard
     /// order** (regardless of which worker produced which), remaps ids
     /// into the global space, folds `nearest` and the eval counter in
-    /// that fixed order, then sorts once under the `(dist, global id)`
-    /// tie-break and truncates to `k`. Bit-identical output for every
-    /// worker count by construction.
+    /// that fixed order, then keeps the `k` smallest under the
+    /// `(dist, global id)` tie-break, sorted. When more than `k` were
+    /// gathered, a selection finds them first, so only `k` are sorted;
+    /// `(dist, global id)` is a total order over distinct ids, so this
+    /// keeps exactly what sorting everything would. Bit-identical output
+    /// for every worker count by construction.
     ///
     /// This is the one place neighbors get their `(dist, id)` order —
     /// backends keep their own — and where the `backend="sharded"`
@@ -860,8 +864,12 @@ impl ShardedStore {
                 n.id = self.global_id(s, n.id);
             }
         }
+        let keep = k.max(1);
+        if merged.len() > keep {
+            merged.select_nth_unstable_by(keep - 1, crate::by_dist_id);
+            merged.truncate(keep);
+        }
         merged.sort_by(crate::by_dist_id);
-        merged.truncate(k.max(1));
         let result = SearchResult {
             neighbors: merged,
             nearest,
