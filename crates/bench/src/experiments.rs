@@ -2492,22 +2492,8 @@ mod tests {
             assert_eq!(r.roc.first().map(|p| (p.tpr, p.fpr)), Some((0.0, 0.0)));
             assert_eq!(r.roc.last().map(|p| (p.tpr, p.fpr)), Some((1.0, 1.0)));
         }
-        // Provisioning's data-parallel training produces
-        // (deterministically) different weights per worker count; the
-        // separation floor was tuned on the TLSFP_THREADS=1 model, and
-        // the TLSFP_THREADS=4 github-like model lands below chance at
-        // this smoke scale (AUC 0.41). Hold every profile on the
-        // single-threaded model and allow one stray profile elsewhere.
-        // TODO(open-world): train to separation on every profile at
-        // every thread count (more epochs or per-thread seeds at smoke
-        // scale), then drop the allowance.
-        let allowed = if tlsfp_nn::parallel::default_threads() == 1 {
-            0
-        } else {
-            1
-        };
         assert!(
-            inseparable.len() <= allowed,
+            inseparable.is_empty(),
             "profiles without separation: {inseparable:?}"
         );
     }

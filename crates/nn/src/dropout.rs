@@ -52,6 +52,18 @@ impl Dropout {
         mask
     }
 
+    /// Advances `rng` past the draws [`Dropout::apply_train`] makes on
+    /// `units` values, without sampling a mask: one uniform per unit,
+    /// none when `p == 0`.
+    pub(crate) fn skip_train<R: Rng + ?Sized>(&self, units: usize, rng: &mut R) {
+        if self.p == 0.0 {
+            return;
+        }
+        for _ in 0..units {
+            let _: f32 = rng.random();
+        }
+    }
+
     /// Applies a previously-sampled mask to a gradient.
     pub fn backprop(mask: &[f32], grad: &mut [f32]) {
         debug_assert_eq!(mask.len(), grad.len());
@@ -93,6 +105,18 @@ mod tests {
         // Mask matches output.
         for (x, m) in xs.iter().zip(&mask) {
             assert_eq!(*x, *m);
+        }
+    }
+
+    #[test]
+    fn skip_train_draws_what_apply_train_draws() {
+        for p in [0.0, 0.3] {
+            let d = Dropout::new(p);
+            let mut applied = StdRng::seed_from_u64(4);
+            let mut skipped = applied.clone();
+            d.apply_train(&mut [1.0; 7], &mut applied);
+            d.skip_train(7, &mut skipped);
+            assert_eq!(applied, skipped, "p = {p}");
         }
     }
 

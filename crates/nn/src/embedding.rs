@@ -27,7 +27,7 @@ use crate::linear::{Dense, DenseGrad};
 use crate::lstm::{GateWeightsT, Lstm, LstmCache, LstmGrad, LstmScratch, LstmStream};
 use crate::parallel::{resolve_threads, scatter_chunks_mut};
 use crate::seq::SeqInput;
-use crate::tensor::Rows;
+use crate::tensor::{GradRows, Rows};
 
 /// Process-wide monotonic counter behind [`SequenceEmbedder`]'s weights
 /// version: every freshly-built, deserialized, or mutably-borrowed
@@ -313,6 +313,21 @@ pub struct EmbedCache {
     out_pre: Vec<f32>,
 }
 
+/// One sample's pre-activation gradients, from
+/// `SequenceEmbedder::backward_deltas`: what
+/// `SequenceEmbedder::backward_params_only` folds into the parameter
+/// gradients, together with the layer inputs the sample's
+/// [`EmbedCache`] kept.
+#[derive(Debug, Clone)]
+pub(crate) struct EmbedDeltas {
+    /// LSTM gate deltas, `T × 4H` in step order.
+    lstm: Vec<f32>,
+    /// Per hidden layer: the pre-activation gradient.
+    hidden: Vec<Vec<f32>>,
+    /// Output-layer pre-activation gradient.
+    output: Vec<f32>,
+}
+
 /// Gradient accumulator matching a [`SequenceEmbedder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbedderGrads {
@@ -322,6 +337,40 @@ pub struct EmbedderGrads {
     pub hidden: Vec<DenseGrad>,
     /// Output layer gradients.
     pub output: DenseGrad,
+}
+
+/// A band of rows of every layer's gradient in an [`EmbedderGrads`]:
+/// one replay worker's share (see `EmbedderGrads::rows`).
+#[derive(Debug)]
+pub(crate) struct EmbedderGradRows<'g> {
+    lstm: GradRows<'g>,
+    hidden: Vec<GradRows<'g>>,
+    output: GradRows<'g>,
+}
+
+impl<'g> EmbedderGradRows<'g> {
+    /// Splits every layer's band into `parts` contiguous row bands
+    /// (`GradRows::split`); part `i` holds band `i` of each layer.
+    pub(crate) fn split(self, parts: usize) -> Vec<EmbedderGradRows<'g>> {
+        let parts = parts.max(1);
+        let mut lstm = self.lstm.split(parts).into_iter();
+        let mut hidden: Vec<_> = self
+            .hidden
+            .into_iter()
+            .map(|h| h.split(parts).into_iter())
+            .collect();
+        let mut output = self.output.split(parts).into_iter();
+        (0..parts)
+            .map(|_| EmbedderGradRows {
+                lstm: lstm.next().expect("one band per part"),
+                hidden: hidden
+                    .iter_mut()
+                    .map(|h| h.next().expect("one band per part"))
+                    .collect(),
+                output: output.next().expect("one band per part"),
+            })
+            .collect()
+    }
 }
 
 impl SequenceEmbedder {
@@ -661,7 +710,9 @@ impl SequenceEmbedder {
     }
 
     /// Forward pass with dropout, caching everything needed for
-    /// [`SequenceEmbedder::backward`]. `rng` drives dropout masks.
+    /// [`SequenceEmbedder::backward`]. `rng` drives dropout masks: one
+    /// uniform per hidden unit, layer by layer, when dropout is on (see
+    /// `SequenceEmbedder::skip_forward_train`).
     pub fn forward_train<R: Rng + ?Sized>(
         &self,
         x: &SeqInput,
@@ -704,43 +755,90 @@ impl SequenceEmbedder {
         )
     }
 
-    /// Backward pass: accumulates parameter gradients for one sample.
+    /// Advances `rng` past the dropout draws one
+    /// [`SequenceEmbedder::forward_train`] makes, without running it.
+    /// The trainer uses this to start each pair of a batch at its place
+    /// in the batch's one dropout stream.
+    pub(crate) fn skip_forward_train<R: Rng + ?Sized>(&self, rng: &mut R) {
+        let dropout = Dropout::new(self.config.dropout);
+        for layer in &self.hidden {
+            dropout.skip_train(layer.output_size(), rng);
+        }
+    }
+
+    /// Backward pass: accumulates parameter gradients for one sample —
+    /// `SequenceEmbedder::backward_deltas`, then
+    /// `SequenceEmbedder::backward_params_only` over every row.
     ///
     /// `grad_emb` is `dL/d(embedding)`.
     pub fn backward(&self, grad_emb: &[f32], cache: &EmbedCache, grads: &mut EmbedderGrads) {
+        let deltas = self.backward_deltas(grad_emb, cache);
+        self.backward_params_only(cache, &deltas, &mut grads.rows());
+    }
+
+    /// The delta half of [`SequenceEmbedder::backward`]: every layer's
+    /// pre-activation gradient for one sample, given `grad_emb =
+    /// dL/d(embedding)`. Touches no parameter gradient, so the samples
+    /// of a batch can run it in parallel.
+    pub(crate) fn backward_deltas(&self, grad_emb: &[f32], cache: &EmbedCache) -> EmbedDeltas {
         debug_assert_eq!(grad_emb.len(), self.config.output_size);
         // Output layer.
-        let mut g = grad_emb.to_vec();
+        let mut output = grad_emb.to_vec();
         self.config
             .output_activation
-            .backprop_slice(&cache.out_pre, &mut g);
-        let out_input = cache
-            .post
-            .last()
-            .map(Vec::as_slice)
-            .unwrap_or(&cache.lstm_out);
-        let mut d_prev = vec![0.0f32; out_input.len()];
-        self.output
-            .backward(out_input, &g, &mut grads.output, &mut d_prev);
+            .backprop_slice(&cache.out_pre, &mut output);
+        let mut d_prev = vec![0.0f32; self.output.input_size()];
+        self.output.backward_input(&output, &mut d_prev);
 
         // Hidden stack, in reverse.
+        let mut hidden = vec![Vec::new(); self.hidden.len()];
         for i in (0..self.hidden.len()).rev() {
             let mut g = d_prev;
             Dropout::backprop(&cache.masks[i], &mut g);
             self.config
                 .hidden_activation
                 .backprop_slice(&cache.pre[i], &mut g);
+            d_prev = vec![0.0f32; self.hidden[i].input_size()];
+            self.hidden[i].backward_input(&g, &mut d_prev);
+            hidden[i] = g;
+        }
+
+        EmbedDeltas {
+            lstm: self.lstm.backward_deltas(&d_prev, &cache.lstm),
+            hidden,
+            output,
+        }
+    }
+
+    /// The parameter half of [`SequenceEmbedder::backward`] on a band of
+    /// every layer's gradient rows: folds one sample's `deltas`, with
+    /// the layer inputs its `cache` kept, into `grads` — the LSTM's
+    /// steps last to first. Training replays a batch's samples through
+    /// this in order, with the rows split across threads; each gradient
+    /// element then sums the samples in the same order at every split.
+    pub(crate) fn backward_params_only(
+        &self,
+        cache: &EmbedCache,
+        deltas: &EmbedDeltas,
+        grads: &mut EmbedderGradRows<'_>,
+    ) {
+        let out_input = cache
+            .post
+            .last()
+            .map(Vec::as_slice)
+            .unwrap_or(&cache.lstm_out);
+        self.output
+            .backward_params_only(out_input, &deltas.output, &mut grads.output);
+        for (i, (layer, rows)) in self.hidden.iter().zip(&mut grads.hidden).enumerate() {
             let input: &[f32] = if i == 0 {
                 &cache.lstm_out
             } else {
                 &cache.post[i - 1]
             };
-            d_prev = vec![0.0f32; input.len()];
-            self.hidden[i].backward(input, &g, &mut grads.hidden[i], &mut d_prev);
+            layer.backward_params_only(input, &deltas.hidden[i], rows);
         }
-
-        // LSTM.
-        self.lstm.backward(&d_prev, &cache.lstm, &mut grads.lstm);
+        self.lstm
+            .backward_params_only(&cache.lstm, &deltas.lstm, &mut grads.lstm);
     }
 
     /// Mutable parameter groups in a stable order (for [`crate::optim::Sgd`]).
@@ -788,13 +886,14 @@ impl EmbedderGrads {
         }
     }
 
-    /// Accumulates another gradient set (merging per-thread results).
-    pub fn add_assign(&mut self, other: &EmbedderGrads) {
-        self.lstm.add_assign(&other.lstm);
-        for (a, b) in self.hidden.iter_mut().zip(&other.hidden) {
-            a.add_assign(b);
+    /// Every row of every layer's gradient, as one band to split across
+    /// replay workers (`EmbedderGradRows::split`).
+    pub(crate) fn rows(&mut self) -> EmbedderGradRows<'_> {
+        EmbedderGradRows {
+            lstm: self.lstm.rows(),
+            hidden: self.hidden.iter_mut().map(DenseGrad::rows).collect(),
+            output: self.output.rows(),
         }
-        self.output.add_assign(&other.output);
     }
 
     /// Scales all gradients (e.g. by `1/batch_size`).
@@ -857,6 +956,25 @@ mod tests {
         let e2 = net.embed(&x);
         assert_eq!(e1.len(), 3);
         assert_eq!(e1, e2);
+    }
+
+    #[test]
+    fn skip_forward_train_draws_what_forward_train_draws() {
+        for dropout in [0.0, 0.25] {
+            let net = SequenceEmbedder::new(
+                EmbedderConfig {
+                    dropout,
+                    ..tiny_net().config().clone()
+                },
+                42,
+            )
+            .unwrap();
+            let mut ran = StdRng::seed_from_u64(3);
+            let mut skipped = ran.clone();
+            let _ = net.forward_train(&tiny_input(), &mut ran);
+            net.skip_forward_train(&mut skipped);
+            assert_eq!(ran, skipped, "dropout {dropout}");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   30-unit LSTM over per-IP byte-count sequences feeding a dense stack
 //!   that produces 32-d embeddings.
 //! - [`siamese::SiameseTrainer`] — contrastive-loss training over
-//!   positive/negative trace pairs with data-parallel gradient
-//!   accumulation.
+//!   positive/negative trace pairs, data-parallel and bit-identical at
+//!   every thread count.
 //! - [`cnn::Cnn1dClassifier`] — a Deep-Fingerprinting-style CNN used by
 //!   the retraining-required baseline.
 //! - [`pairs`] — random and semi-hard pair mining.

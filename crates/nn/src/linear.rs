@@ -4,7 +4,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::init::Init;
-use crate::tensor::{add_assign_slice, matmul_t, transpose_into, Matrix};
+use crate::tensor::{add_assign_slice, matmul_t, transpose_into, GradRows, Matrix};
 
 /// A dense layer computing `y = W·x + b` (no activation — activations are
 /// applied by the caller so pre-activations can be cached for backprop).
@@ -83,15 +83,23 @@ impl Dense {
     /// and the input `x` that produced it, accumulates parameter gradients
     /// into `grad` and adds `Wᵀ·dz` into `dx` (gradient w.r.t. the input).
     pub fn backward(&self, x: &[f32], dz: &[f32], grad: &mut DenseGrad, dx: &mut [f32]) {
-        grad.w.outer_add(dz, x);
-        add_assign_slice(&mut grad.b, dz);
+        self.backward_params_only(x, dz, &mut grad.rows());
+        self.backward_input(dz, dx);
+    }
+
+    /// The input half of [`Dense::backward`]: adds `Wᵀ·dz` into `dx`.
+    pub(crate) fn backward_input(&self, dz: &[f32], dx: &mut [f32]) {
         self.w.matvec_t_add(dz, dx);
     }
 
-    /// Backward pass when the input gradient is not needed (first layer).
-    pub fn backward_params_only(&self, x: &[f32], dz: &[f32], grad: &mut DenseGrad) {
-        grad.w.outer_add(dz, x);
-        add_assign_slice(&mut grad.b, dz);
+    /// The parameter half of [`Dense::backward`] on a band of the
+    /// gradient's rows: `dW += dz ⊗ x` and `db += dz` on those rows.
+    /// Training replays this step per sample once every delta of a
+    /// block is known, with the rows split across threads.
+    pub(crate) fn backward_params_only(&self, x: &[f32], dz: &[f32], grad: &mut GradRows<'_>) {
+        debug_assert_eq!(x.len(), self.input_size(), "backward input length");
+        debug_assert_eq!(dz.len(), self.output_size(), "backward delta length");
+        grad.add_outer(dz, x);
     }
 
     /// Mutable views of all parameter buffers (weights then biases),
@@ -113,6 +121,11 @@ impl DenseGrad {
             w: Matrix::zeros(layer.output_size(), layer.input_size()),
             b: vec![0.0; layer.output_size()],
         }
+    }
+
+    /// Every row of this gradient, as one band.
+    pub(crate) fn rows(&mut self) -> GradRows<'_> {
+        GradRows::new(&mut self.w, &mut self.b)
     }
 
     /// Accumulates another gradient (used when merging per-thread grads).

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use crate::activation::{fast_sigmoid_slice, fast_tanh_slice, sigmoid};
 use crate::init::Init;
 use crate::seq::SeqInput;
-use crate::tensor::{add_assign_slice, matmul_t, scale_slice, Matrix};
+use crate::tensor::{add_assign_slice, matmul_t, scale_slice, GradRows, Matrix};
 
 /// Single-layer LSTM. Weights are stored as one `(4H) × (I+H)` matrix so
 /// all four gates are computed with a single matrix–vector product.
@@ -43,26 +43,21 @@ pub struct LstmGrad {
     pub b: Vec<f32>,
 }
 
-/// Per-step values cached during the forward pass, needed for BPTT.
-#[derive(Debug, Clone)]
-struct StepCache {
-    /// Concatenated `[x_t ; h_{t-1}]`.
-    xh: Vec<f32>,
-    /// Previous cell state `c_{t-1}`.
-    c_prev: Vec<f32>,
-    /// Gate activations `i, f, g, o` (each length `H`).
-    i: Vec<f32>,
-    f: Vec<f32>,
-    g: Vec<f32>,
-    o: Vec<f32>,
-    /// `tanh(c_t)`.
-    tanh_c: Vec<f32>,
-}
-
-/// Forward-pass cache for a whole sequence.
-#[derive(Debug, Clone)]
+/// Forward-pass cache for a whole sequence: the values BPTT needs from
+/// every step, in flat step-major buffers (a few allocations per
+/// sequence, not per step).
+#[derive(Debug, Clone, Default)]
 pub struct LstmCache {
-    steps: Vec<StepCache>,
+    /// Timesteps cached.
+    steps: usize,
+    /// Per step: the concatenated `[x_t ; h_{t-1}]` (`T × (I+H)`).
+    xh: Vec<f32>,
+    /// Per step: the previous cell state `c_{t-1}` (`T × H`).
+    c_prev: Vec<f32>,
+    /// Per step: the gate activations `i, f, g, o` (`T × 4H`).
+    gates: Vec<f32>,
+    /// Per step: `tanh(c_t)` (`T × H`).
+    tanh_c: Vec<f32>,
 }
 
 /// Transposed, panel-padded gate weights for [`Lstm::forward_batch_t`]
@@ -123,12 +118,12 @@ impl StatePanels {
 impl LstmCache {
     /// Number of timesteps that were processed.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.steps
     }
 
     /// Whether the cached sequence was empty.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.steps == 0
     }
 }
 
@@ -209,7 +204,7 @@ impl Lstm {
 
     /// Runs the sequence, caching every step for [`Lstm::backward`].
     pub fn forward_train(&self, xs: &[f32]) -> (Vec<f32>, LstmCache) {
-        let mut cache = LstmCache { steps: Vec::new() };
+        let mut cache = LstmCache::default();
         let h = self.run(xs, Some(&mut cache));
         (h, cache)
     }
@@ -223,44 +218,52 @@ impl Lstm {
             self.input_size
         );
         let hs = self.hidden_size;
+        let xh_w = self.input_size + hs;
         let mut h = vec![0.0f32; hs];
         let mut c = vec![0.0f32; hs];
         let mut z = vec![0.0f32; 4 * hs];
-        let mut xh = vec![0.0f32; self.input_size + hs];
+        let mut xh = vec![0.0f32; xh_w];
+        let mut gates = vec![0.0f32; 4 * hs];
+        let mut tanh_c = vec![0.0f32; hs];
+        if let Some(cache) = cache.as_deref_mut() {
+            let steps = xs.len() / self.input_size.max(1);
+            cache.xh.reserve(steps * xh_w);
+            cache.c_prev.reserve(steps * hs);
+            cache.gates.reserve(steps * 4 * hs);
+            cache.tanh_c.reserve(steps * hs);
+        }
 
         for x_t in xs.chunks_exact(self.input_size) {
             xh[..self.input_size].copy_from_slice(x_t);
             xh[self.input_size..].copy_from_slice(&h);
             self.w.matvec(&xh, &mut z);
             add_assign_slice(&mut z, &self.b);
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.xh.extend_from_slice(&xh);
+                cache.c_prev.extend_from_slice(&c);
+            }
 
-            let c_prev = c.clone();
-            let mut i = vec![0.0f32; hs];
-            let mut f = vec![0.0f32; hs];
-            let mut g = vec![0.0f32; hs];
-            let mut o = vec![0.0f32; hs];
+            let (i, rest) = gates.split_at_mut(hs);
+            let (f, rest) = rest.split_at_mut(hs);
+            let (g, o) = rest.split_at_mut(hs);
             for k in 0..hs {
                 i[k] = sigmoid(z[k]);
                 f[k] = sigmoid(z[hs + k]);
                 g[k] = z[2 * hs + k].tanh();
                 o[k] = sigmoid(z[3 * hs + k]);
-                c[k] = f[k] * c_prev[k] + i[k] * g[k];
+                c[k] = f[k] * c[k] + i[k] * g[k];
             }
-            let tanh_c: Vec<f32> = c.iter().map(|v| v.tanh()).collect();
+            for (t, cv) in tanh_c.iter_mut().zip(&c) {
+                *t = cv.tanh();
+            }
             for k in 0..hs {
                 h[k] = o[k] * tanh_c[k];
             }
 
             if let Some(cache) = cache.as_deref_mut() {
-                cache.steps.push(StepCache {
-                    xh: xh.clone(),
-                    c_prev,
-                    i,
-                    f,
-                    g,
-                    o,
-                    tanh_c,
-                });
+                cache.gates.extend_from_slice(&gates);
+                cache.tanh_c.extend_from_slice(&tanh_c);
+                cache.steps += 1;
             }
         }
         h
@@ -268,40 +271,72 @@ impl Lstm {
 
     /// BPTT given the gradient of the loss w.r.t. the *final* hidden state.
     ///
-    /// Accumulates parameter gradients into `grad`. Gradients w.r.t. the
-    /// inputs are not produced (the sequences are data, not parameters).
+    /// Accumulates parameter gradients into `grad`: the step deltas of
+    /// `Lstm::backward_deltas`, then their replay by
+    /// `Lstm::backward_params_only` over every row. Gradients w.r.t.
+    /// the inputs are not produced (the sequences are data, not
+    /// parameters).
     pub fn backward(&self, dh_final: &[f32], cache: &LstmCache, grad: &mut LstmGrad) {
+        let dzs = self.backward_deltas(dh_final, cache);
+        self.backward_params_only(cache, &dzs, &mut grad.rows());
+    }
+
+    /// The delta half of BPTT: every step's gate pre-activation gradient
+    /// `dz_t` (`4H` wide, `[i, f, g, o]`), in step order (`T × 4H`),
+    /// given the gradient w.r.t. the final hidden state. Touches no
+    /// parameter gradient, so samples can run it in parallel.
+    pub(crate) fn backward_deltas(&self, dh_final: &[f32], cache: &LstmCache) -> Vec<f32> {
         let hs = self.hidden_size;
         debug_assert_eq!(dh_final.len(), hs);
 
+        let mut dzs = vec![0.0f32; cache.steps * 4 * hs];
         let mut dh = dh_final.to_vec();
         let mut dc = vec![0.0f32; hs];
-        let mut dz = vec![0.0f32; 4 * hs];
         let mut dxh = vec![0.0f32; self.input_size + hs];
 
-        for step in cache.steps.iter().rev() {
+        for (t, dz) in dzs.chunks_exact_mut(4 * hs).enumerate().rev() {
+            let gates = &cache.gates[t * 4 * hs..(t + 1) * 4 * hs];
+            let (i, f) = (&gates[..hs], &gates[hs..2 * hs]);
+            let (g, o) = (&gates[2 * hs..3 * hs], &gates[3 * hs..]);
+            let c_prev = &cache.c_prev[t * hs..(t + 1) * hs];
+            let tanh_c = &cache.tanh_c[t * hs..(t + 1) * hs];
             for k in 0..hs {
-                let tanh_c = step.tanh_c[k];
-                let d_o = dh[k] * tanh_c;
-                let d_c = dh[k] * step.o[k] * (1.0 - tanh_c * tanh_c) + dc[k];
-                let d_i = d_c * step.g[k];
-                let d_f = d_c * step.c_prev[k];
-                let d_g = d_c * step.i[k];
+                let d_o = dh[k] * tanh_c[k];
+                let d_c = dh[k] * o[k] * (1.0 - tanh_c[k] * tanh_c[k]) + dc[k];
+                let d_i = d_c * g[k];
+                let d_f = d_c * c_prev[k];
+                let d_g = d_c * i[k];
 
-                dz[k] = d_i * step.i[k] * (1.0 - step.i[k]);
-                dz[hs + k] = d_f * step.f[k] * (1.0 - step.f[k]);
-                dz[2 * hs + k] = d_g * (1.0 - step.g[k] * step.g[k]);
-                dz[3 * hs + k] = d_o * step.o[k] * (1.0 - step.o[k]);
+                dz[k] = d_i * i[k] * (1.0 - i[k]);
+                dz[hs + k] = d_f * f[k] * (1.0 - f[k]);
+                dz[2 * hs + k] = d_g * (1.0 - g[k] * g[k]);
+                dz[3 * hs + k] = d_o * o[k] * (1.0 - o[k]);
 
-                dc[k] = d_c * step.f[k];
+                dc[k] = d_c * f[k];
             }
 
-            grad.w.outer_add(&dz, &step.xh);
-            add_assign_slice(&mut grad.b, &dz);
-
             dxh.iter_mut().for_each(|v| *v = 0.0);
-            self.w.matvec_t_add(&dz, &mut dxh);
+            self.w.matvec_t_add(dz, &mut dxh);
             dh.copy_from_slice(&dxh[self.input_size..]);
+        }
+        dzs
+    }
+
+    /// The parameter half of BPTT on a band of the gradient's rows:
+    /// replays `dW += dz_t ⊗ [x_t ; h_{t-1}]` and `db += dz_t` for the
+    /// deltas `dzs` of `Lstm::backward_deltas`, from the last step to
+    /// the first — the order BPTT produces them in.
+    pub(crate) fn backward_params_only(
+        &self,
+        cache: &LstmCache,
+        dzs: &[f32],
+        grad: &mut GradRows<'_>,
+    ) {
+        let gates = 4 * self.hidden_size;
+        debug_assert_eq!(dzs.len(), cache.steps * gates, "step delta shape");
+        let rows = cache.xh.chunks_exact(self.input_size + self.hidden_size);
+        for (dz, xh) in dzs.chunks_exact(gates).zip(rows).rev() {
+            grad.add_outer(dz, xh);
         }
     }
 
@@ -528,10 +563,9 @@ impl LstmGrad {
         }
     }
 
-    /// Accumulates another gradient.
-    pub fn add_assign(&mut self, other: &LstmGrad) {
-        self.w.add_assign(&other.w);
-        add_assign_slice(&mut self.b, &other.b);
+    /// Every row of this gradient, as one band.
+    pub(crate) fn rows(&mut self) -> GradRows<'_> {
+        GradRows::new(&mut self.w, &mut self.b)
     }
 
     /// Scales all gradients.
@@ -596,6 +630,57 @@ mod tests {
         let [_, b] = lstm.param_slices();
         assert_eq!(&b[3..6], &[1.0, 1.0, 1.0]);
         assert_eq!(&b[0..3], &[0.0, 0.0, 0.0]);
+    }
+
+    /// BPTT as one interleaved pass: each step's deltas, then at once
+    /// that step's parameter gradient. Splitting BPTT into deltas and a
+    /// replay must not move a bit of what this order sums.
+    fn interleaved_bptt(lstm: &Lstm, dh_final: &[f32], cache: &LstmCache, grad: &mut LstmGrad) {
+        let hs = lstm.hidden_size;
+        let xh_w = lstm.input_size + hs;
+        let mut dh = dh_final.to_vec();
+        let mut dc = vec![0.0f32; hs];
+        let mut dz = vec![0.0f32; 4 * hs];
+        let mut dxh = vec![0.0f32; xh_w];
+        for t in (0..cache.steps).rev() {
+            let gate = |g: usize, k: usize| cache.gates[(4 * t + g) * hs + k];
+            for k in 0..hs {
+                let (i, f, g, o) = (gate(0, k), gate(1, k), gate(2, k), gate(3, k));
+                let tanh_c = cache.tanh_c[t * hs + k];
+                let d_o = dh[k] * tanh_c;
+                let d_c = dh[k] * o * (1.0 - tanh_c * tanh_c) + dc[k];
+                let d_i = d_c * g;
+                let d_f = d_c * cache.c_prev[t * hs + k];
+                let d_g = d_c * i;
+                dz[k] = d_i * i * (1.0 - i);
+                dz[hs + k] = d_f * f * (1.0 - f);
+                dz[2 * hs + k] = d_g * (1.0 - g * g);
+                dz[3 * hs + k] = d_o * o * (1.0 - o);
+                dc[k] = d_c * f;
+            }
+            grad.w.outer_add(&dz, &cache.xh[t * xh_w..(t + 1) * xh_w]);
+            add_assign_slice(&mut grad.b, &dz);
+            dxh.iter_mut().for_each(|v| *v = 0.0);
+            lstm.w.matvec_t_add(&dz, &mut dxh);
+            dh.copy_from_slice(&dxh[lstm.input_size..]);
+        }
+    }
+
+    #[test]
+    fn backward_sums_in_the_interleaved_bptt_order() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let lstm = Lstm::new(3, 5, &mut rng);
+        let mut split = LstmGrad::zeros_like(&lstm);
+        let mut interleaved = LstmGrad::zeros_like(&lstm);
+        // Two samples into one accumulator, as a training step sums them.
+        for (salt, dh) in [(1u64, [0.3f32, -1.0, 0.0, 2.0, 0.5]), (2, [1.0; 5])] {
+            let (_, cache) = lstm.forward_train(seq(9, 3, salt).as_slice());
+            lstm.backward(&dh, &cache, &mut split);
+            interleaved_bptt(&lstm, &dh, &cache, &mut interleaved);
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(split.w.as_slice()), bits(interleaved.w.as_slice()));
+        assert_eq!(bits(&split.b), bits(&interleaved.b));
     }
 
     /// Full finite-difference gradient check of BPTT: loss = sum(h_T).

@@ -1,11 +1,14 @@
 //! Data-parallel helpers on one process-wide pool of persistent
 //! workers.
 //!
-//! Training is embarrassingly parallel across a batch: each chunk
-//! accumulates gradients into a private buffer, and the buffers are
-//! merged before the optimizer step. The same splitter serves parallel
-//! inference (batch embedding, the store's shard fan-out, the
-//! baselines).
+//! One splitter serves training, parallel inference (batch embedding,
+//! the store's shard fan-out) and the baselines. Siamese training uses
+//! it in two phases per block of pairs: [`map_chunks`] runs each pair's
+//! forward pass and delta-only backward pass, then `for_each_mut`
+//! replays the parameter updates, with each worker owning a band of
+//! every layer's gradient rows. Each gradient element sums the samples
+//! in batch order, so the trained model is the same at every `threads`
+//! (see `crate::siamese`).
 //!
 //! Every call splits its items into the same contiguous chunks for a
 //! given `threads`, passes each chunk its index, and returns results in
@@ -155,23 +158,44 @@ pub fn scatter_chunks_mut<T, S, F>(
         f(items, &mut workers[0], out);
         return;
     }
-    // One piece per chunk; whichever thread runs chunk `ci` takes piece
-    // `ci`, exactly once.
     let mut rest_out = out;
-    let pieces: Vec<_> = items
+    let mut pieces: Vec<_> = items
         .chunks(chunk)
         .zip(workers.iter_mut())
         .map(|(chunk_items, state)| {
             let (chunk_out, tail) =
                 std::mem::take(&mut rest_out).split_at_mut(chunk_items.len() * stride);
             rest_out = tail;
-            Mutex::new(Some((chunk_items, state, chunk_out)))
+            (chunk_items, state, chunk_out)
         })
         .collect();
-    run_chunks(pieces.len(), &|ci| {
-        let (chunk_items, state, chunk_out) =
-            lock(&pieces[ci]).take().expect("each chunk runs once");
-        f(chunk_items, state, chunk_out);
+    for_each_mut(&mut pieces, |(chunk_items, state, chunk_out)| {
+        f(chunk_items, state, chunk_out)
+    });
+}
+
+/// Runs `f` on every element of `parts` in parallel, one chunk per
+/// part, each with its own mutable part. Use it when the parts are
+/// disjoint pieces of one output, such as row bands of one gradient.
+/// Runs inline when there is at most one part.
+///
+/// # Panics
+///
+/// Re-raises a panic from `f` once every part has finished.
+pub(crate) fn for_each_mut<S, F>(parts: &mut [S], f: F)
+where
+    S: Send,
+    F: Fn(&mut S) + Sync,
+{
+    if parts.len() <= 1 {
+        parts.iter_mut().for_each(f);
+        return;
+    }
+    // Whichever thread runs chunk `ci` takes part `ci`, exactly once.
+    let slots: Vec<Mutex<Option<&mut S>>> = parts.iter_mut().map(|p| Mutex::new(Some(p))).collect();
+    run_chunks(slots.len(), &|ci| {
+        let part = lock(&slots[ci]).take().expect("each part runs once");
+        f(part);
     });
 }
 
@@ -455,6 +479,18 @@ mod tests {
         let mut out = vec![0.0f32; 1];
         scatter_chunks_mut(&items, &mut workers, &mut out, 1, |c, _, o| o[0] = c[0]);
         assert_eq!(out, vec![5.0]);
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_part_once() {
+        for n in [0usize, 1, 2, 5] {
+            let mut parts: Vec<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
+            for_each_mut(&mut parts, |(i, visits)| {
+                *visits += 1;
+                *i *= 10;
+            });
+            assert_eq!(parts, (0..n).map(|i| (i * 10, 1)).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -3,20 +3,46 @@
 //!
 //! Each training pair is embedded twice through the *same* network; the
 //! Euclidean distance between the two embeddings feeds the contrastive
-//! loss, whose gradient flows back through both branches. Batches are
-//! processed data-parallel: each worker accumulates gradients for its
-//! slice of the batch and the slices are merged before the SGD step.
+//! loss, whose gradient flows back through both branches.
+//!
+//! A step trains the same model bits at every `threads` value. It runs
+//! its batch in blocks of pairs, each block in two phases:
+//!
+//! 1. **Forward and deltas, in parallel across pairs.** Each pair runs
+//!    both forward passes and a delta-only backward pass
+//!    (`SequenceEmbedder::backward_deltas`), which keeps every
+//!    layer's pre-activation gradient and touches no parameter
+//!    gradient. Dropout draws from the step's one stream,
+//!    `StdRng::seed_from_u64(seed)`: each pair starts where the pairs
+//!    before it left that stream
+//!    (`SequenceEmbedder::skip_forward_train`), so the masks do not
+//!    depend on which worker ran the pair.
+//! 2. **Ordered replay, in parallel across gradient rows.** The
+//!    parameter updates are replayed
+//!    (`SequenceEmbedder::backward_params_only`) pair by pair in batch
+//!    order, branch a before branch b, with each worker owning a band of
+//!    every layer's rows. Pairs whose loss gradient is zero add nothing.
+//!    So every gradient element sums its samples in one order, the order
+//!    a single sequential pass over the batch uses.
+//!
+//! The block size bounds the caches a step holds at once; it changes no
+//! bit.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::embedding::{EmbedderGrads, SequenceEmbedder};
+use crate::embedding::{EmbedCache, EmbedDeltas, EmbedderGrads, SequenceEmbedder};
 use crate::loss::ContrastiveLoss;
 use crate::optim::Sgd;
 use crate::pairs::TrainPair;
-use crate::parallel::{map_chunks, resolve_threads};
+use crate::parallel::{for_each_mut, map_chunks, map_elems, resolve_threads};
 use crate::seq::SeqInput;
 use crate::tensor::euclidean;
+
+/// Pairs each worker runs per block of a training step: a step holds the
+/// caches of at most `PAIRS_PER_WORKER × threads` pairs at a time,
+/// whatever its batch size.
+const PAIRS_PER_WORKER: usize = 8;
 
 /// Configuration for siamese training.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +89,9 @@ impl SiameseTrainer {
     /// Runs one SGD step over a batch of pairs and returns the mean loss.
     ///
     /// `pool` is the flat trace pool the pair indices refer to. `seed`
-    /// drives the dropout masks (vary it per batch).
+    /// drives the dropout masks (vary it per batch). The loss and the
+    /// updated weights are the same bits at every `threads` (see the
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -78,49 +106,76 @@ impl SiameseTrainer {
     ) -> f32 {
         assert!(!pairs.is_empty(), "empty batch");
         let threads = resolve_threads(self.threads);
-        let loss = self.loss;
         let net_ref: &SequenceEmbedder = net;
-
-        let results = map_chunks(pairs, threads, |chunk_idx, _, chunk| {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(chunk_idx as u64 * 0x9E37_79B9));
-            let mut grads = EmbedderGrads::zeros_like(net_ref);
-            let mut loss_sum = 0.0f64;
-            for pair in chunk {
-                let xa = &pool[pair.a];
-                let xb = &pool[pair.b];
-                let (ea, ca) = net_ref.forward_train(xa, &mut rng);
-                let (eb, cb) = net_ref.forward_train(xb, &mut rng);
-                let d = euclidean(&ea, &eb);
-                loss_sum += loss.value(d, pair.label) as f64;
-                let dl_dd = loss.grad_wrt_distance(d, pair.label);
-                if dl_dd != 0.0 {
-                    // dL/de_a = dL/dd · (e_a − e_b)/d ; dL/de_b is its negation.
-                    let coef = dl_dd / d.max(1e-6);
-                    let ga: Vec<f32> = ea.iter().zip(&eb).map(|(a, b)| coef * (a - b)).collect();
-                    let gb: Vec<f32> = ga.iter().map(|g| -g).collect();
-                    net_ref.backward(&ga, &ca, &mut grads);
-                    net_ref.backward(&gb, &cb, &mut grads);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut grads = EmbedderGrads::zeros_like(net_ref);
+        let mut bands = grads.rows().split(threads);
+        let mut loss_sum = 0.0f64;
+        for block in pairs.chunks(PAIRS_PER_WORKER * threads) {
+            let starts: Vec<StdRng> = block
+                .iter()
+                .map(|_| {
+                    let start = rng.clone();
+                    net_ref.skip_forward_train(&mut rng);
+                    net_ref.skip_forward_train(&mut rng);
+                    start
+                })
+                .collect();
+            let tapes: Vec<PairTape> = map_chunks(block, threads, |_, offset, chunk| {
+                chunk
+                    .iter()
+                    .zip(&starts[offset..])
+                    .map(|(pair, start)| self.pair_tape(net_ref, pool, pair, &mut start.clone()))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+            for_each_mut(&mut bands, |rows| {
+                for branches in tapes.iter().filter_map(|t| t.branches.as_ref()) {
+                    for (cache, deltas) in branches {
+                        net_ref.backward_params_only(cache, deltas, rows);
+                    }
                 }
-            }
-            (grads, loss_sum)
-        });
-
-        let mut merged: Option<EmbedderGrads> = None;
-        let mut total_loss = 0.0f64;
-        for (grads, l) in results {
-            total_loss += l;
-            match merged.as_mut() {
-                None => merged = Some(grads),
-                Some(m) => m.add_assign(&grads),
+            });
+            for tape in &tapes {
+                loss_sum += tape.loss as f64;
             }
         }
-        let mut merged = merged.expect("at least one chunk");
-        merged.scale(1.0 / pairs.len() as f32);
-        let grad_slices = merged.grad_slices();
+        grads.scale(1.0 / pairs.len() as f32);
+        let grad_slices = grads.grad_slices();
         let mut param_slices = net.param_slices_mut();
         opt.step(&mut param_slices, &grad_slices);
 
-        (total_loss / pairs.len() as f64) as f32
+        (loss_sum / pairs.len() as f64) as f32
+    }
+
+    /// One pair's forward passes and delta-only backward passes, with
+    /// dropout drawn from `rng`.
+    fn pair_tape(
+        &self,
+        net: &SequenceEmbedder,
+        pool: &[SeqInput],
+        pair: &TrainPair,
+        rng: &mut StdRng,
+    ) -> PairTape {
+        let (ea, ca) = net.forward_train(&pool[pair.a], rng);
+        let (eb, cb) = net.forward_train(&pool[pair.b], rng);
+        let d = euclidean(&ea, &eb);
+        let dl_dd = self.loss.grad_wrt_distance(d, pair.label);
+        let branches = (dl_dd != 0.0).then(|| {
+            // dL/de_a = dL/dd · (e_a − e_b)/d ; dL/de_b is its negation.
+            let coef = dl_dd / d.max(1e-6);
+            let ga: Vec<f32> = ea.iter().zip(&eb).map(|(a, b)| coef * (a - b)).collect();
+            let gb: Vec<f32> = ga.iter().map(|g| -g).collect();
+            let da = net.backward_deltas(&ga, &ca);
+            let db = net.backward_deltas(&gb, &cb);
+            [(ca, da), (cb, db)]
+        });
+        PairTape {
+            loss: self.loss.value(d, pair.label),
+            branches,
+        }
     }
 
     /// Runs one epoch: consumes `pairs` in batches of `batch_size`.
@@ -158,19 +213,22 @@ impl SiameseTrainer {
         if pairs.is_empty() {
             return 0.0;
         }
-        let threads = resolve_threads(self.threads);
-        let loss = self.loss;
-        let sums = map_chunks(pairs, threads, |_, _, chunk| {
-            chunk
-                .iter()
-                .map(|p| {
-                    let d = euclidean(&net.embed(&pool[p.a]), &net.embed(&pool[p.b]));
-                    loss.value(d, p.label) as f64
-                })
-                .sum::<f64>()
+        let losses = map_elems(pairs, resolve_threads(self.threads), |p| {
+            let d = euclidean(&net.embed(&pool[p.a]), &net.embed(&pool[p.b]));
+            self.loss.value(d, p.label) as f64
         });
-        (sums.into_iter().sum::<f64>() / pairs.len() as f64) as f32
+        (losses.into_iter().sum::<f64>() / pairs.len() as f64) as f32
     }
+}
+
+/// One pair's share of a training step, from its forward and delta-only
+/// backward passes.
+struct PairTape {
+    /// The pair's contrastive loss.
+    loss: f32,
+    /// Each branch's cache and deltas, branch a first; `None` when the
+    /// loss gradient is zero, so the pair adds nothing to the gradients.
+    branches: Option<[(EmbedCache, EmbedDeltas); 2]>,
 }
 
 #[cfg(test)]
@@ -240,39 +298,88 @@ mod tests {
         );
     }
 
+    /// The sequential step, kept as the oracle for
+    /// [`SiameseTrainer::train_batch`]: one dropout stream for the whole
+    /// batch, and each pair's gradients accumulated in batch order,
+    /// branch a before branch b.
+    fn sequential_step(
+        trainer: &SiameseTrainer,
+        net: &mut SequenceEmbedder,
+        pool: &[SeqInput],
+        pairs: &[TrainPair],
+        opt: &mut Sgd,
+        seed: u64,
+    ) -> f32 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut grads = EmbedderGrads::zeros_like(net);
+        let mut loss_sum = 0.0f64;
+        for pair in pairs {
+            let (ea, ca) = net.forward_train(&pool[pair.a], &mut rng);
+            let (eb, cb) = net.forward_train(&pool[pair.b], &mut rng);
+            let d = euclidean(&ea, &eb);
+            loss_sum += trainer.loss.value(d, pair.label) as f64;
+            let dl_dd = trainer.loss.grad_wrt_distance(d, pair.label);
+            if dl_dd != 0.0 {
+                let coef = dl_dd / d.max(1e-6);
+                let ga: Vec<f32> = ea.iter().zip(&eb).map(|(a, b)| coef * (a - b)).collect();
+                let gb: Vec<f32> = ga.iter().map(|g| -g).collect();
+                net.backward(&ga, &ca, &mut grads);
+                net.backward(&gb, &cb, &mut grads);
+            }
+        }
+        grads.scale(1.0 / pairs.len() as f32);
+        let grad_slices = grads.grad_slices();
+        opt.step(&mut net.param_slices_mut(), &grad_slices);
+        (loss_sum / pairs.len() as f64) as f32
+    }
+
     #[test]
     fn single_thread_and_multi_thread_agree() {
-        // With identical seeds and no dropout, gradients are deterministic
-        // regardless of the chunking, so final weights must match.
+        // Dropout on, and enough pairs that every thread count runs
+        // several blocks of uneven length: the loss and the weights after
+        // each step are the sequential oracle's, bit for bit.
         let (pool, labels) = toy_pool(4);
         let index = ClassIndex::from_labels(&labels);
         let mut rng = StdRng::seed_from_u64(5);
-        let pairs = random_pairs(&index, 16, 0.5, &mut rng);
+        let batches: Vec<Vec<TrainPair>> = (0..3)
+            .map(|_| random_pairs(&index, 40, 0.5, &mut rng))
+            .collect();
 
-        let cfg = EmbedderConfig {
-            dropout: 0.0,
-            ..EmbedderConfig::small(2)
-        };
-        let mut net1 = SequenceEmbedder::new(cfg.clone(), 7).unwrap();
-        let mut net2 = net1.clone();
-        let mut opt1 = Sgd::new(0.01);
-        let mut opt2 = Sgd::new(0.01);
+        let cfg = EmbedderConfig::small(2);
+        assert!(cfg.dropout > 0.0, "the check needs dropout on");
+        let trainer = SiameseTrainer::new(4.0, 40);
+        let start = SequenceEmbedder::new(cfg, 7).unwrap();
 
-        let t1 = SiameseTrainer {
-            threads: 1,
-            ..SiameseTrainer::new(4.0, 16)
-        };
-        let t4 = SiameseTrainer {
-            threads: 4,
-            ..SiameseTrainer::new(4.0, 16)
-        };
-        let l1 = t1.train_batch(&mut net1, &pool, &pairs, &mut opt1, 3);
-        let l4 = t4.train_batch(&mut net2, &pool, &pairs, &mut opt2, 3);
-        assert!((l1 - l4).abs() < 1e-4, "losses diverged: {l1} vs {l4}");
-        let e1 = net1.embed(&pool[0]);
-        let e2 = net2.embed(&pool[0]);
-        for (a, b) in e1.iter().zip(&e2) {
-            assert!((a - b).abs() < 1e-4, "weights diverged");
+        let mut oracle = start.clone();
+        let mut oracle_opt = Sgd::with_momentum(0.01, 0.9);
+        let oracle_losses: Vec<f32> = batches
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                sequential_step(&trainer, &mut oracle, &pool, b, &mut oracle_opt, i as u64)
+            })
+            .collect();
+        assert_ne!(oracle, start, "training moved no weight");
+
+        for threads in [1usize, 2, 4] {
+            let t = SiameseTrainer {
+                threads,
+                ..trainer.clone()
+            };
+            let mut net = start.clone();
+            let mut opt = Sgd::with_momentum(0.01, 0.9);
+            for (i, b) in batches.iter().enumerate() {
+                let loss = t.train_batch(&mut net, &pool, b, &mut opt, i as u64);
+                assert_eq!(
+                    loss.to_bits(),
+                    oracle_losses[i].to_bits(),
+                    "loss of step {i} at {threads} threads"
+                );
+            }
+            assert!(
+                net.to_json().unwrap() == oracle.to_json().unwrap(),
+                "weights diverged at {threads} threads"
+            );
         }
     }
 

@@ -146,11 +146,7 @@ impl Matrix {
     pub fn outer_add(&mut self, a: &[f32], b: &[f32]) {
         debug_assert_eq!(a.len(), self.rows, "outer_add lhs length");
         debug_assert_eq!(b.len(), self.cols, "outer_add rhs length");
-        for (ai, row) in a.iter().zip(self.data.chunks_exact_mut(self.cols)) {
-            if *ai != 0.0 {
-                axpy(*ai, b, row);
-            }
-        }
+        outer_add_rows(&mut self.data, 0, a, b);
     }
 
     /// Adds another matrix element-wise.
@@ -181,6 +177,90 @@ impl Matrix {
     /// Frobenius norm (root of sum of squares).
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
+    }
+}
+
+/// The rank-1 update `W += a ⊗ b` on a band of `W`'s rows: `rows`
+/// holds rows `first..` of `W` row-major (`b.len()` wide), and row
+/// `first + r` gains `a[first + r] · b`, skipped when that coefficient
+/// is zero. A row's arithmetic does not depend on the band it sits in,
+/// so splitting `W`'s rows across threads changes no bit.
+fn outer_add_rows(rows: &mut [f32], first: usize, a: &[f32], b: &[f32]) {
+    for (ai, row) in a[first..].iter().zip(rows.chunks_exact_mut(b.len())) {
+        if *ai != 0.0 {
+            axpy(*ai, b, row);
+        }
+    }
+}
+
+/// A band of one layer's parameter gradient: rows `first..first + n` of
+/// the weight gradient (row-major, `cols` wide) and the matching `n`
+/// bias entries. Bands of one gradient are disjoint, so threads can
+/// fill them at the same time; training splits every layer's rows this
+/// way to replay its parameter updates in parallel.
+#[derive(Debug)]
+pub(crate) struct GradRows<'g> {
+    first: usize,
+    cols: usize,
+    w: &'g mut [f32],
+    b: &'g mut [f32],
+}
+
+impl<'g> GradRows<'g> {
+    /// Every row of the weight gradient `w` and its bias `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` does not hold one entry per row of `w`.
+    pub(crate) fn new(w: &'g mut Matrix, b: &'g mut [f32]) -> Self {
+        assert_eq!(w.rows(), b.len(), "one bias entry per weight row");
+        GradRows {
+            first: 0,
+            cols: w.cols(),
+            w: w.as_mut_slice(),
+            b,
+        }
+    }
+
+    /// Splits the band into `parts` contiguous bands of at most
+    /// `⌈n / parts⌉` rows each, in row order (`parts = 0` counts as 1).
+    /// Trailing bands are empty when the band has fewer rows than
+    /// `parts`.
+    pub(crate) fn split(self, parts: usize) -> Vec<GradRows<'g>> {
+        let parts = parts.max(1);
+        let per = self.b.len().div_ceil(parts);
+        let GradRows {
+            mut first,
+            cols,
+            mut w,
+            mut b,
+        } = self;
+        (0..parts)
+            .map(|_| {
+                let n = per.min(b.len());
+                let (w_band, w_rest) = std::mem::take(&mut w).split_at_mut(n * cols);
+                let (b_band, b_rest) = std::mem::take(&mut b).split_at_mut(n);
+                let band = GradRows {
+                    first,
+                    cols,
+                    w: w_band,
+                    b: b_band,
+                };
+                (first, w, b) = (first + n, w_rest, b_rest);
+                band
+            })
+            .collect()
+    }
+
+    /// Adds one backward step's parameter gradient to the band's rows:
+    /// weight row `r` gains `dz[r] · x` (skipped when `dz[r]` is zero)
+    /// and bias `r` gains `dz[r]`, where `dz` spans every row of the
+    /// layer. Over all bands this is a dense backward's
+    /// `dW += dz ⊗ x; db += dz`, bit for bit.
+    pub(crate) fn add_outer(&mut self, dz: &[f32], x: &[f32]) {
+        debug_assert_eq!(x.len(), self.cols, "add_outer input length");
+        outer_add_rows(self.w, self.first, dz, x);
+        add_assign_slice(self.b, &dz[self.first..self.first + self.b.len()]);
     }
 }
 
@@ -464,6 +544,29 @@ mod tests {
         let mut out = vec![0.0; 3];
         m.matvec_t_add(&[1.0, 1.0], &mut out);
         assert_eq!(out, vec![5.0, 7.0, 9.0]);
+    }
+
+    #[test]
+    fn grad_row_bands_sum_like_one_outer_product() {
+        let dz = [0.5f32, 0.0, -1.25, 3.0, 0.75];
+        let x = [1.5f32, -0.25, 2.0];
+        let start: Vec<f32> = (0..15).map(|i| i as f32 * 0.1 - 0.7).collect();
+        let mut want_w = Matrix::from_vec(5, 3, start.clone());
+        let mut want_b = vec![-0.0f32, 1.0, 2.0, 3.0, 4.0];
+        want_w.outer_add(&dz, &x);
+        add_assign_slice(&mut want_b, &dz);
+        for parts in [1usize, 2, 3, 7] {
+            let mut w = Matrix::from_vec(5, 3, start.clone());
+            let mut b = vec![-0.0f32, 1.0, 2.0, 3.0, 4.0];
+            let mut bands = GradRows::new(&mut w, &mut b).split(parts);
+            assert_eq!(bands.len(), parts);
+            for band in &mut bands {
+                band.add_outer(&dz, &x);
+            }
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(w.as_slice()), bits(want_w.as_slice()), "{parts} parts");
+            assert_eq!(bits(&b), bits(&want_b), "{parts} parts");
+        }
     }
 
     #[test]

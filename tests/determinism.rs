@@ -264,4 +264,30 @@ fn seeded_provisioning_reproduces_top1_accuracy() {
     // The training logs prove two fresh, identical runs happened.
     assert_eq!(a.training_log().epoch_losses.len(), cfg.epochs);
     assert_eq!(a.training_log().epoch_losses, b.training_log().epoch_losses);
+
+    // The trained model is the same bits at every training thread count,
+    // `0` (auto) included. The deployment JSON is not compared: it
+    // carries the wall-clock `train_seconds`.
+    let model = a.embedder().to_json().unwrap();
+    let loss_bits = |fp: &AdaptiveFingerprinter| -> Vec<u32> {
+        fp.training_log()
+            .epoch_losses
+            .iter()
+            .map(|l| l.to_bits())
+            .collect()
+    };
+    for threads in [1usize, 2, 4, 0] {
+        let mut at = cfg.clone();
+        at.threads = threads;
+        let fp = AdaptiveFingerprinter::provision(&reference, &at, tlsfp_testkit::SEED).unwrap();
+        assert!(
+            fp.embedder().to_json().unwrap() == model,
+            "embedder weights changed at {threads} training threads"
+        );
+        assert_eq!(
+            loss_bits(&fp),
+            loss_bits(&a),
+            "epoch losses changed at {threads} training threads"
+        );
+    }
 }

@@ -165,22 +165,7 @@ fn ivf_deployment_survives_adaptation_and_serde() {
         .iter()
         .filter(|t| fp.fingerprint(t).top() == Some(id))
         .count();
-    // Provisioning's data-parallel training produces (deterministically)
-    // different weights per worker count, and the TLSFP_THREADS=4 model
-    // happens to sit right at this assertion's edge: IVF pruning drops
-    // one of the three new-class traces that the flat scan keeps.
-    // TODO(index): tighten back to >= 2 at every thread count once IVF
-    // re-assigns mutated classes to fresh coarse cells instead of
-    // freezing the provisioning-time quantizer.
-    let min_found = if tlsfp::nn::parallel::default_threads() == 1 {
-        2
-    } else {
-        1
-    };
-    assert!(
-        found >= min_found,
-        "only {found}/3 new-class traces classified"
-    );
+    assert!(found >= 2, "only {found}/3 new-class traces classified");
 
     // The incrementally-mutated index serves the same decisions as a
     // fresh rebuild from the same reference set.

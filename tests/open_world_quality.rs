@@ -85,36 +85,13 @@ fn per_class_radii_never_lower_tpr_minus_fpr_on_any_profile() {
 
         let g_sep = g.counts.tpr() - g.counts.fpr();
         let p_sep = p.counts.tpr() - p.counts.fpr();
-        // Provisioning's data-parallel training produces
-        // (deterministically) different weights per worker count, and
-        // the strict dominance claim was tuned on the TLSFP_THREADS=1
-        // model: the TLSFP_THREADS=4 embedder's video-like score
-        // distribution leaves a couple of classes under-covered at
-        // MIN_SAMPLES=2, so their radii fall back to the global
-        // threshold minus the refinement. Hold strict dominance on the
-        // single-threaded model and an absolute-slack floor elsewhere
-        // (the multi-threaded separations sit within a few points of
-        // global, both on profiles where separation itself is tiny).
-        // TODO(open-world): restore strict dominance at every thread
-        // count once per-class calibration pools under-covered classes
-        // with their nearest neighbors instead of the global fallback.
-        if tlsfp::nn::parallel::default_threads() == 1 {
-            assert!(
-                p_sep >= g_sep - 1e-12,
-                "{}: per-class TPR-FPR {:.3} below global {:.3}",
-                profile.name(),
-                p_sep,
-                g_sep
-            );
-        } else {
-            assert!(
-                p_sep >= g_sep - 0.05,
-                "{}: per-class TPR-FPR {:.3} more than 0.05 below global {:.3}",
-                profile.name(),
-                p_sep,
-                g_sep
-            );
-        }
+        assert!(
+            p_sep >= g_sep - 1e-12,
+            "{}: per-class TPR-FPR {:.3} below global {:.3}",
+            profile.name(),
+            p_sep,
+            g_sep
+        );
         if p_sep > g_sep + 1e-12 {
             improved_somewhere = true;
         }
