@@ -66,8 +66,10 @@ pub struct ScoredPrediction {
 /// callers holding a [`SearchResult`] (the experiments, the benchmark)
 /// can rank it without re-running the search.
 ///
-/// Votes are tallied in the order the backend reported its neighbors,
-/// then stably sorted by (votes desc, best distance asc).
+/// Votes are tallied in neighbor order — `(dist, id)` ascending from
+/// every backend and the store — then stably sorted by (votes desc,
+/// best distance asc), so a full tie keeps the label whose nearest
+/// neighbor came first.
 pub fn rank_search(result: SearchResult) -> ScoredPrediction {
     // Vote count and best (smallest) distance per label.
     let mut votes: Vec<(usize, usize, f32)> = Vec::new(); // (label, votes, best_dist)

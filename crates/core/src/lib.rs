@@ -11,7 +11,7 @@
 //!   adapt (Figure 2). Serves from a class-sharded reference store
 //!   (`tlsfp_index::sharded::ShardedStore`) sized by
 //!   [`PipelineConfig::shards`](pipeline::PipelineConfig): one serving
-//!   path at every shard count — store search, ordered-commit merge,
+//!   path at every shard count — store search through one top-k rule,
 //!   [`knn::rank_search`], one accept rule. Many shards bound
 //!   provisioning memory and mutation cost for the 13k-class regime.
 //! - [`knn`] — top-N ranked classification (k = 250) from the store's

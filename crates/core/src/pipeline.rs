@@ -56,8 +56,8 @@ pub struct PipelineConfig {
     /// (0 = all cores, honoring `TLSFP_THREADS`). Separate from
     /// `threads` because serving and provisioning often want different
     /// pool sizes. Results are bit-identical for every value — the
-    /// shard-major fan-out and ordered-commit merge guarantee it (see
-    /// the `tlsfp_index::sharded` module docs).
+    /// fan-out's one `(dist, id)` top-k rule guarantees it (see the
+    /// `tlsfp_index::sharded` module docs).
     pub query_workers: usize,
     /// Nearest-neighbor index backend each shard serves from. The
     /// default [`IndexConfig::Flat`] keeps every decision bit-identical
@@ -305,10 +305,9 @@ impl AdaptiveFingerprinter {
     /// Sets the worker-pool size for the concurrent query fan-out
     /// across shards (`0` = all cores, honoring `TLSFP_THREADS`).
     /// Every query path — single-trace and batch, closed- and
-    /// open-world — fans its per-shard searches across this many
-    /// workers and merges under the ordered-commit rule, so results
-    /// are **bit-identical** for every value; only wall-clock time
-    /// changes.
+    /// open-world — fans its shard scans across this many workers and
+    /// selects under one `(dist, id)` top-k rule, so results are
+    /// **bit-identical** for every value; only wall-clock time changes.
     pub fn set_query_workers(&mut self, workers: usize) {
         self.query_workers = workers;
     }
@@ -437,9 +436,8 @@ impl AdaptiveFingerprinter {
 
     /// Embeds and classifies a whole dataset — the batch front door:
     /// one fused `embed_batch` pass pipelined into the concurrent
-    /// shard-major search fan-out
-    /// (`ShardedStore::search_batch_concurrent`), merged under the
-    /// ordered-commit rule. Bit-identical to calling
+    /// search fan-out (`ShardedStore::search_batch_concurrent`), which
+    /// selects under one `(dist, id)` top-k rule. Bit-identical to calling
     /// [`AdaptiveFingerprinter::fingerprint`] per trace, at every
     /// worker count.
     pub fn fingerprint_all(&self, data: &Dataset) -> Vec<RankedPrediction> {
@@ -610,8 +608,8 @@ impl AdaptiveFingerprinter {
     }
 
     /// Decides one embedding through the serving path every query
-    /// takes: the concurrent shard fan-out, the ordered-commit merge,
-    /// then the vote.
+    /// takes: the concurrent shard fan-out, the merge of its top-k
+    /// accumulators, then the vote.
     pub(crate) fn decide(&self, embedding: &[f32]) -> ScoredPrediction {
         rank_search(
             self.store
@@ -620,7 +618,8 @@ impl AdaptiveFingerprinter {
     }
 
     /// Batch form of [`AdaptiveFingerprinter::decide`]: the
-    /// (shard × query-block) fan-out, merged per query, then the vote.
+    /// (shard group × query-block) fan-out, merged per query, then the
+    /// vote.
     /// Bit-identical to deciding each embedding alone.
     pub(crate) fn decide_all(&self, embeddings: &[Vec<f32>]) -> Vec<ScoredPrediction> {
         self.store

@@ -7,21 +7,18 @@
 //! - The scan processes candidate rows in cache-sized chunks
 //!   ([`SCAN_CHUNK_ROWS`] at a time), keeping the query vector hot
 //!   while each block streams through.
-//! - Per-distance accumulation uses the `tlsfp-nn` kernels, and the
-//!   k-selection heap is keyed on distance alone, so the scan kernel
-//!   ([`crate::kernels::flat_search_block`]; a single query is a block
-//!   of one) reproduces a naive insertion-order scan bit for bit —
-//!   scores, selected neighbors and the heap's output order. The
-//!   `tests/index_serving.rs` oracle holds this line.
-//!
-//! Results come back in heap order; the sharded store's merge sorts
-//! them by `(dist, id)` like every other backend's.
-
-use std::cmp::Ordering;
+//! - Per-distance accumulation uses the `tlsfp-nn` kernels, and every
+//!   row is pushed into the query's [`crate::TopK`], so the scan kernel
+//!   ([`FlatIndex::scan_block`]; a single query is a block of one)
+//!   returns exactly a naive scan's rows sorted by `(dist, id)` and cut
+//!   to `k` — scores, selected neighbors and their order. The
+//!   `tests/index_serving.rs` oracle holds its decisions to the
+//!   pre-index implementation's.
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Metric, Neighbor, Rows, SearchResult, VectorIndex};
+use crate::kernels::{record_block_size, IdMap, TopK};
+use crate::{Metric, Neighbor, Rows, VectorIndex};
 
 /// Rows scanned per block: 64 rows × 32 dims × 4 bytes = 8 KiB per
 /// block, comfortably inside L1 alongside the query.
@@ -43,28 +40,6 @@ pub struct FlatIndex {
     metric: Metric,
     data: Vec<f32>,
     labels: Vec<usize>,
-}
-
-/// Heap entry ordered by distance only — the historical eviction rule
-/// (boundary ties keep the earlier-scanned row). The `id`/`label`
-/// payload never participates in comparisons, so heap layout and
-/// iteration order replay the pre-index implementation exactly.
-/// Crate-visible for the scan kernel ([`crate::kernels`]).
-#[derive(PartialEq)]
-pub(crate) struct FlatHeapEntry(pub(crate) Neighbor);
-
-impl Eq for FlatHeapEntry {}
-
-impl Ord for FlatHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.dist.total_cmp(&other.0.dist)
-    }
-}
-
-impl PartialOrd for FlatHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 impl FlatIndex {
@@ -117,19 +92,28 @@ impl VectorIndex for FlatIndex {
         self.metric
     }
 
-    /// The blocked exact scan ([`crate::kernels::flat_search_block`]):
-    /// each row tile is loaded once per block and evaluated against
-    /// every query while hot in cache, every query's heap fed its rows
-    /// in ascending row order.
-    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
-        crate::assert_query_dims(queries, self.dim);
-        let results =
-            crate::kernels::flat_search_block(self.rows(), &self.labels, self.metric, queries, k);
-        crate::kernels::record_block_size!("flat", queries.len());
-        for result in &results {
-            crate::record_backend_search!("flat", result);
+    /// The blocked exact scan: one pass over the rows in
+    /// [`SCAN_CHUNK_ROWS`]-row tiles, each tile evaluated against every
+    /// query in the block while hot in cache, every row pushed into
+    /// the query's accumulator.
+    fn scan_block(&self, queries: &[Vec<f32>], ids: IdMap, accs: &mut [TopK]) {
+        crate::assert_scan_inputs(queries, accs, self.dim);
+        let dim = self.dim.max(1);
+        let mut base = 0u64;
+        for tile in self.data.chunks(SCAN_CHUNK_ROWS * dim) {
+            for (query, acc) in queries.iter().zip(accs.iter_mut()) {
+                for (local, row) in (base..).zip(tile.chunks_exact(dim)) {
+                    acc.push(Neighbor {
+                        dist: self.metric.eval(query, row),
+                        id: ids.map(local),
+                        label: self.labels[local as usize],
+                    });
+                }
+            }
+            base += (tile.len() / dim) as u64;
         }
-        results
+        record_block_size!("flat", queries.len());
+        crate::record_backend_search!("flat", queries.len(), queries.len() * self.len());
     }
 
     fn add(&mut self, label: usize, vector: &[f32]) {

@@ -18,11 +18,11 @@
 //! [`crate::FlatIndex`] exactly (the crate's property tests assert it);
 //! smaller `n_probe` trades recall for distance computations.
 
-use std::collections::BinaryHeap;
-
 use serde::{Deserialize, Serialize};
 
-use crate::{Metric, Neighbor, Rows, SearchResult, SelectEntry, VectorIndex};
+use crate::flat::SCAN_CHUNK_ROWS;
+use crate::kernels::{record_block_size, IdMap, TopK};
+use crate::{Metric, Neighbor, Rows, VectorIndex};
 
 /// Lloyd iterations the coarse quantizer runs at build time.
 pub const KMEANS_ITERS: usize = 10;
@@ -355,35 +355,26 @@ impl VectorIndex for IvfIndex {
     /// `n_probe` nearest lists; queries subscribing to the same list
     /// scan it *together*, tile by tile, so a hot list's rows are
     /// loaded once per block instead of once per subscriber. Lists are
-    /// visited in first-probe order (nearest first for a block of one).
-    /// Selection goes through a `(dist, id)`-ordered bounded heap per
-    /// query; because that order is total and ids are distinct, the
-    /// selected set — and the `into_sorted_vec` output — is independent
-    /// of the order lists are visited in and of the block. A query
-    /// costs one eval per centroid plus one per row of its probed
+    /// visited in first-probe order (nearest first for a block of one),
+    /// and every probed row is pushed into its query's accumulator. A
+    /// query costs one eval per centroid plus one per row of its probed
     /// lists.
-    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
-        crate::assert_query_dims(queries, self.dim);
-        let total = self.len();
+    fn scan_block(&self, queries: &[Vec<f32>], ids: IdMap, accs: &mut [TopK]) {
+        crate::assert_scan_inputs(queries, accs, self.dim);
         let nq = queries.len();
-        if total == 0 {
-            return vec![SearchResult::empty(); nq];
-        }
-        if nq == 0 {
-            return Vec::new();
+        if self.is_empty() || nq == 0 {
+            return;
         }
         let dim = self.dim.max(1);
-        let k = k.min(total).max(1);
         let n_centroids = self.centroids.len() / dim;
         let probe = self.n_probe.min(n_centroids);
 
         // Every query's probed lists as `(list, query)` pairs in one
         // buffer, then grouped by list in first-probe order; the stable
         // sort keeps each list's subscribers in ascending query order.
-        let mut evals = vec![n_centroids as u64; nq];
         let mut ranked: Vec<(f32, usize)> = Vec::with_capacity(n_centroids);
         let mut probes: Vec<(usize, usize)> = Vec::with_capacity(nq * probe);
-        for (qi, query) in queries.iter().enumerate() {
+        for (qi, (query, acc)) in queries.iter().zip(accs.iter_mut()).enumerate() {
             ranked.clear();
             ranked.extend(
                 self.centroids
@@ -393,6 +384,7 @@ impl VectorIndex for IvfIndex {
             );
             ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             probes.extend(ranked[..probe].iter().map(|&(_, li)| (li, qi)));
+            acc.add_evals(n_centroids as u64);
         }
         let mut first = vec![usize::MAX; n_centroids];
         for (at, &(li, _)) in probes.iter().enumerate() {
@@ -400,57 +392,39 @@ impl VectorIndex for IvfIndex {
         }
         probes.sort_by_key(|&(li, _)| first[li]);
 
-        let mut heaps: Vec<BinaryHeap<SelectEntry>> =
-            (0..nq).map(|_| BinaryHeap::with_capacity(k + 1)).collect();
-        let mut nearest = vec![f32::INFINITY; nq];
-        let tile = crate::flat::SCAN_CHUNK_ROWS * dim;
+        let mut scanned = 0usize;
         let mut rest = &probes[..];
         while let Some(&(li, _)) = rest.first() {
             let (subs, tail) = rest.split_at(rest.partition_point(|p| p.0 == li));
             rest = tail;
             let list = &self.lists[li];
-            for (ti, chunk) in list.data.chunks(tile).enumerate() {
-                let base = ti * crate::flat::SCAN_CHUNK_ROWS;
+            scanned += subs.len() * list.len();
+            for (ti, tile) in list.data.chunks(SCAN_CHUNK_ROWS * dim).enumerate() {
+                let base = ti * SCAN_CHUNK_ROWS;
                 for &(_, qi) in subs {
-                    let query = &queries[qi];
-                    let heap = &mut heaps[qi];
-                    for (off, row) in chunk.chunks_exact(dim).enumerate() {
-                        let j = base + off;
-                        let dist = self.metric.eval(query, row);
-                        evals[qi] += 1;
-                        nearest[qi] = nearest[qi].min(dist);
-                        SelectEntry(Neighbor {
-                            dist,
-                            id: list.ids[j],
+                    let (query, acc) = (&queries[qi], &mut accs[qi]);
+                    for (j, row) in (base..).zip(tile.chunks_exact(dim)) {
+                        acc.push(Neighbor {
+                            dist: self.metric.eval(query, row),
+                            id: ids.map(list.ids[j]),
                             label: list.labels[j],
-                        })
-                        .offer(heap, k);
+                        });
                     }
                 }
             }
         }
 
-        crate::kernels::record_block_size!("ivf", nq);
-        heaps
-            .into_iter()
-            .enumerate()
-            .map(|(qi, heap)| {
-                let result = SearchResult {
-                    neighbors: heap.into_sorted_vec().into_iter().map(|e| e.0).collect(),
-                    nearest: nearest[qi],
-                    distance_evals: evals[qi],
-                };
-                crate::record_backend_search!("ivf", result);
-                if tlsfp_telemetry::enabled() {
-                    tlsfp_telemetry::histogram!(
-                        "tlsfp_ivf_probes",
-                        "Inverted lists probed per IVF query"
-                    )
-                    .observe(probe as u64);
-                }
-                result
-            })
-            .collect()
+        record_block_size!("ivf", nq);
+        crate::record_backend_search!("ivf", nq, nq * n_centroids + scanned);
+        if tlsfp_telemetry::enabled() {
+            let probes = tlsfp_telemetry::histogram!(
+                "tlsfp_ivf_probes",
+                "Inverted lists probed per IVF query"
+            );
+            for _ in 0..nq {
+                probes.observe(probe as u64);
+            }
+        }
     }
 
     fn add(&mut self, label: usize, vector: &[f32]) {
@@ -512,6 +486,7 @@ mod tests {
     use rand::{RngExt, SeedableRng};
 
     use super::*;
+    use crate::SearchResult;
 
     /// Clustered synthetic rows: `classes` groups of `per_class` points
     /// around distinct centers.
@@ -537,8 +512,8 @@ mod tests {
     }
 
     /// The naive reference: one query, the `n_probe` nearest lists by
-    /// `(distance, index)`, every candidate sorted — no heap, no tiling,
-    /// no telemetry.
+    /// `(distance, index)`, every candidate sorted — no accumulator, no
+    /// tiling, no telemetry.
     fn naive_ivf(ix: &IvfIndex, query: &[f32], k: usize) -> SearchResult {
         let mut ranked: Vec<(f32, usize)> = ix
             .centroids
@@ -632,19 +607,8 @@ mod tests {
             let ri = ix.search(&q, 7);
             let rf = flat.search(&q, 7);
             assert_eq!(ri.nearest, rf.nearest);
-            let mut fa: Vec<(u64, u32)> = rf
-                .neighbors
-                .iter()
-                .map(|n| (n.id, n.dist.to_bits()))
-                .collect();
-            let mut ia: Vec<(u64, u32)> = ri
-                .neighbors
-                .iter()
-                .map(|n| (n.id, n.dist.to_bits()))
-                .collect();
-            fa.sort_unstable();
-            ia.sort_unstable();
-            assert_eq!(fa, ia);
+            // Build ids are row positions, and both sort by (dist, id).
+            assert_eq!(ri.neighbors, rf.neighbors);
         }
     }
 

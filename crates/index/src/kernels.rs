@@ -1,6 +1,7 @@
-//! Query-blocked scan kernels — each backend's one scan
-//! ([`crate::VectorIndex::search_block`]); a single query is a block of
-//! one. Scanning query by query would stream every stored row through
+//! Query-blocked scan kernels and the one top-k rule they select
+//! through. Each backend's one scan ([`crate::VectorIndex::scan_block`])
+//! serves a block of queries; a single query is a block of one.
+//! Scanning query by query would stream every stored row through
 //! memory once *per query*: a 64-trace batch reads the store 64 times,
 //! and at serving scale the scan is memory-bandwidth-bound (the PQ
 //! experiments showed this first). The fix is the register/cache
@@ -9,36 +10,35 @@
 //! blocks, so each row tile is loaded once per block and evaluated
 //! against every query in the block while it is hot in L1.
 //!
+//! # One selection rule
+//!
+//! Every kernel pushes its candidates into caller-supplied [`TopK`]
+//! accumulators, one per query, under ids an [`IdMap`] translates into
+//! the caller's id space. A `TopK` keeps the `k` smallest candidates
+//! under `(dist, id)` — a total order over distinct ids — so the kept
+//! set never depends on the order candidates arrive in, nor on how
+//! they were split across accumulators before a [`TopK::merge`]. Flat
+//! pushes every row, IVF the rows of each query's probed lists, and PQ
+//! only its exact re-ranked rows, after cutting its ADC candidates
+//! through a `TopK` of its own; the sharded store merges one
+//! accumulator per group of shards.
+//!
 //! # Block composition never changes a result
 //!
 //! Blocking reorders *which (query, row) pair is evaluated when* — it
 //! never reorders the arithmetic inside a pair. Each pair keeps a
 //! single accumulator evaluated by the same [`crate::Metric::eval`]
-//! call in the same row order per query, and selection state is
-//! per-query (heap, `nearest` fold, eval counter):
-//!
-//! - **flat** ([`flat_search_block`]): rows are fed to each query's
-//!   dist-only heap in ascending row order — the comparison sequence of
-//!   a naive insertion-order scan — so even the heap's *iteration
-//!   order* is independent of the block.
-//! - **IVF/PQ** (in their own modules): candidates go through a
-//!   `SelectEntry` heap whose `(dist, id)` total order makes the
-//!   selected set insertion-order-independent, and results are emitted
-//!   via `into_sorted_vec` — canonical whatever order lists or tiles
-//!   were visited in.
+//! call, and selection state is per query (kept set, `nearest` fold,
+//! eval counter).
 //!
 //! Every batch path scans at [`auto_query_block`]. Unit tests hold each
 //! kernel against a naive reference (untiled, one query at a time,
-//! without telemetry), and the proptests in `tests/batch_scan_props.rs`
-//! pin results across block sizes and thread counts bit for bit
-//! (distances, ids, labels, neighbor order, eval counts). Backends keep
-//! their own neighbor order; the sharded store's merge is what puts
-//! every query's neighbors in `(dist, id)` order.
+//! every candidate sorted, without telemetry), and the proptests in
+//! `tests/batch_scan_props.rs` pin results across block sizes and
+//! thread counts bit for bit (distances, ids, labels, neighbor order,
+//! eval counts).
 
-use std::collections::BinaryHeap;
-
-use crate::flat::{FlatHeapEntry, SCAN_CHUNK_ROWS};
-use crate::{Metric, Neighbor, Rows, SearchResult};
+use crate::{by_dist_id, Neighbor, SearchResult};
 
 /// Upper bound on the query block: 64 queries × 32 dims × 4 bytes =
 /// 8 KiB of query vectors, which fits in L1 alongside one row tile.
@@ -79,66 +79,168 @@ macro_rules! record_block_size {
 }
 pub(crate) use record_block_size;
 
-/// The blocked exact scan: one pass over `rows` in
-/// [`SCAN_CHUNK_ROWS`]-row tiles, each tile evaluated against every
-/// query in the block while hot in cache. Per query, a bounded max-heap
-/// keyed on distance alone is fed rows in ascending row order, so the
-/// result — heap iteration order included — is **bit-identical** to a
-/// naive insertion-order scan; `nearest` is the minimum over all rows.
-pub fn flat_search_block(
-    rows: Rows<'_>,
-    labels: &[usize],
-    metric: Metric,
-    queries: &[Vec<f32>],
+/// Translates a backend's local ids into the id space of the
+/// accumulators it scans into: `local * stride + offset`. The sharded
+/// store scans shard `s` of `S` at `{ stride: S, offset: s }`, which is
+/// order-preserving within a shard and unique across shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdMap {
+    /// Multiplies every local id.
+    pub stride: u64,
+    /// Added after the multiply.
+    pub offset: u64,
+}
+
+impl IdMap {
+    /// Local ids unchanged: a standalone search.
+    pub const IDENTITY: IdMap = IdMap {
+        stride: 1,
+        offset: 0,
+    };
+
+    /// The id `local` maps to.
+    #[inline]
+    pub fn map(self, local: u64) -> u64 {
+        local * self.stride + self.offset
+    }
+}
+
+/// The most candidates a [`TopK`] reserves room for up front; past it
+/// the reservoir grows on demand, so a huge `k` allocates nothing early.
+const RESERVOIR_RESERVE_MAX: usize = 4096;
+
+/// One query's top-k accumulator — the one selection rule of the crate.
+///
+/// Keeps the `k` smallest candidates pushed or merged in so far under
+/// `(dist, id)` (distances by `total_cmp`), folds `nearest` (the
+/// smallest pushed distance, by `f32::min`) and counts distance
+/// evaluations. Ids must be distinct, which makes the order total: the
+/// kept set is the same whatever order candidates arrive in and however
+/// they are split across accumulators before [`TopK::merge`].
+///
+/// Memory is bounded at `2k` candidates: a reservoir that, whenever it
+/// fills, is cut back to its `k` smallest with `select_nth_unstable_by`.
+/// After the first cut, a candidate that does not order below the
+/// largest one kept is rejected without being stored.
+///
+/// ```
+/// use tlsfp_index::{Neighbor, TopK};
+/// let mut a = TopK::new(2);
+/// let mut b = TopK::new(2);
+/// for (id, dist) in [(0u64, 3.0f32), (1, 1.0), (2, 1.0)] {
+///     a.push(Neighbor { id, label: 0, dist });
+/// }
+/// b.push(Neighbor { id: 3, label: 1, dist: 0.5 });
+/// a.merge(b);
+/// let r = a.finish();
+/// let ids: Vec<u64> = r.neighbors.iter().map(|n| n.id).collect();
+/// assert_eq!(ids, [3, 1]); // the 1.0 tie keeps the lower id
+/// assert_eq!((r.nearest, r.distance_evals), (0.5, 4));
+/// ```
+#[derive(Debug, Clone)]
+pub struct TopK {
     k: usize,
-) -> Vec<SearchResult> {
-    debug_assert_eq!(rows.len(), labels.len(), "one label per row");
-    if rows.is_empty() {
-        return vec![SearchResult::empty(); queries.len()];
-    }
-    if queries.is_empty() {
-        return Vec::new();
-    }
-    let k = k.min(rows.len()).max(1);
-    let nq = queries.len();
-    let mut heaps: Vec<BinaryHeap<FlatHeapEntry>> =
-        (0..nq).map(|_| BinaryHeap::with_capacity(k + 1)).collect();
-    let mut nearest = vec![f32::INFINITY; nq];
-    let dim = rows.dim().max(1);
-    let tile = SCAN_CHUNK_ROWS * dim;
-    let mut base = 0u64;
-    for chunk in rows.data().chunks(tile) {
-        for (qi, query) in queries.iter().enumerate() {
-            let heap = &mut heaps[qi];
-            for (id, row) in (base..).zip(chunk.chunks_exact(dim)) {
-                let dist = metric.eval(query, row);
-                nearest[qi] = nearest[qi].min(dist);
-                let entry = FlatHeapEntry(Neighbor {
-                    dist,
-                    id,
-                    label: labels[id as usize],
-                });
-                if heap.len() < k {
-                    heap.push(entry);
-                } else if let Some(worst) = heap.peek() {
-                    if dist < worst.0.dist {
-                        heap.pop();
-                        heap.push(entry);
-                    }
-                }
-            }
+    kept: Vec<Neighbor>,
+    /// The largest kept candidate as of the last cut: every later
+    /// candidate must order below it.
+    bar: Option<Neighbor>,
+    nearest: f32,
+    distance_evals: u64,
+}
+
+impl TopK {
+    /// An empty accumulator that keeps `k.max(1)` candidates.
+    pub fn new(k: usize) -> Self {
+        TopK {
+            k: k.max(1),
+            kept: Vec::new(),
+            bar: None,
+            nearest: f32::INFINITY,
+            distance_evals: 0,
         }
-        base += (chunk.len() / dim) as u64;
     }
-    heaps
-        .into_iter()
-        .zip(nearest)
-        .map(|(heap, nearest)| SearchResult {
-            neighbors: heap.into_iter().map(|e| e.0).collect(),
-            nearest,
-            distance_evals: rows.len() as u64,
-        })
-        .collect()
+
+    /// How many candidates it keeps.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Scans one candidate: one distance evaluation, folded into
+    /// `nearest`, and kept while it is among the `k` smallest.
+    #[inline]
+    pub fn push(&mut self, candidate: Neighbor) {
+        self.distance_evals += 1;
+        self.nearest = self.nearest.min(candidate.dist);
+        self.keep(candidate);
+    }
+
+    /// Counts `n` distance evaluations that yield no candidate (IVF's
+    /// centroid ranking, PQ's lookup tables).
+    pub fn add_evals(&mut self, n: u64) {
+        self.distance_evals += n;
+    }
+
+    /// Folds `other` in: the `k` smallest of both kept sets, the smaller
+    /// `nearest`, and the summed eval counts.
+    pub fn merge(&mut self, other: TopK) {
+        self.distance_evals += other.distance_evals;
+        self.nearest = self.nearest.min(other.nearest);
+        for candidate in other.kept {
+            self.keep(candidate);
+        }
+    }
+
+    /// Cuts to the `k` smallest and moves them to an exact-size copy, for
+    /// an accumulator held until a merge: `2k` room per held query would
+    /// double a batch's memory, and freeing the reservoir whole lets the
+    /// next one reuse it, where an in-place shrink leaves a hole.
+    pub(crate) fn compact(&mut self) {
+        self.cut();
+        if self.kept.capacity() > self.kept.len() {
+            self.kept = self.kept.to_vec();
+        }
+    }
+
+    /// The result: the `k` smallest candidates in `(dist, id)` order.
+    pub fn finish(mut self) -> SearchResult {
+        self.compact();
+        self.kept.sort_by(by_dist_id);
+        SearchResult {
+            neighbors: self.kept,
+            nearest: self.nearest,
+            distance_evals: self.distance_evals,
+        }
+    }
+
+    #[inline]
+    fn keep(&mut self, candidate: Neighbor) {
+        if self
+            .bar
+            .is_some_and(|bar| by_dist_id(&candidate, &bar).is_ge())
+        {
+            return;
+        }
+        if self.kept.capacity() == 0 {
+            // One reservation instead of a doubling chain: a block's
+            // reservoirs grow side by side, and the smaller buffers a
+            // chain discards fragment the heap.
+            let room = self.k.saturating_mul(2).min(RESERVOIR_RESERVE_MAX);
+            self.kept.reserve_exact(room);
+        }
+        self.kept.push(candidate);
+        if self.kept.len() >= self.k.saturating_mul(2) {
+            self.cut();
+        }
+    }
+
+    /// Cuts the reservoir back to its `k` smallest and raises the bar.
+    fn cut(&mut self) {
+        if self.kept.len() > self.k {
+            self.kept.select_nth_unstable_by(self.k - 1, by_dist_id);
+            self.kept.truncate(self.k);
+            self.bar = Some(self.kept[self.k - 1]);
+        }
+    }
 }
 
 /// A kernel test corpus with planted exact duplicates: row `i` repeats
@@ -205,34 +307,26 @@ pub(crate) fn sorted_result(mut candidates: Vec<Neighbor>, k: usize, evals: usiz
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::FlatIndex;
+    use proptest::prelude::*;
 
-    /// The naive reference: one query, rows in insertion order with no
-    /// tiling, into the same dist-only heap rule.
+    use super::*;
+    use crate::flat::SCAN_CHUNK_ROWS;
+    use crate::{FlatIndex, Metric, Rows, VectorIndex};
+
+    /// The naive reference: one query, every row in insertion order
+    /// with no tiling, sorted by `(dist, id)`.
     fn naive_flat(rows: Rows<'_>, labels: &[usize], query: &[f32], k: usize) -> SearchResult {
-        let mut heap = BinaryHeap::new();
-        let mut nearest = f32::INFINITY;
-        for (i, row) in rows.iter().enumerate() {
-            let dist = Metric::Euclidean.eval(query, row);
-            nearest = nearest.min(dist);
-            let entry = FlatHeapEntry(Neighbor {
-                dist,
+        let candidates = rows
+            .iter()
+            .zip(labels)
+            .enumerate()
+            .map(|(i, (row, &label))| Neighbor {
                 id: i as u64,
-                label: labels[i],
-            });
-            if heap.len() < k.max(1) {
-                heap.push(entry);
-            } else if heap.peek().is_some_and(|w: &FlatHeapEntry| dist < w.0.dist) {
-                heap.pop();
-                heap.push(entry);
-            }
-        }
-        SearchResult {
-            neighbors: heap.into_iter().map(|e| e.0).collect(),
-            nearest,
-            distance_evals: rows.len() as u64,
-        }
+                label,
+                dist: Metric::Euclidean.eval(query, row),
+            })
+            .collect();
+        sorted_result(candidates, k, rows.len())
     }
 
     #[test]
@@ -258,11 +352,64 @@ mod tests {
 
     #[test]
     fn blocked_flat_scan_handles_empty_inputs() {
-        let rows = Rows::new(3, &[]);
-        let out = flat_search_block(rows, &[], Metric::Euclidean, &[vec![0.0; 3]], 4);
-        assert_eq!(out, vec![SearchResult::empty()]);
-        let data = [1.0f32, 2.0, 3.0];
-        let out = flat_search_block(Rows::new(3, &data), &[0], Metric::Euclidean, &[], 4);
-        assert!(out.is_empty());
+        let empty = FlatIndex::new(3, Metric::Euclidean);
+        assert_eq!(
+            empty.search_block(&[vec![0.0; 3]], 4),
+            vec![SearchResult::empty()]
+        );
+        let one = FlatIndex::from_rows(Metric::Euclidean, Rows::new(3, &[1.0, 2.0, 3.0]), &[0]);
+        assert!(one.search_block(&[], 4).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Candidates with planted ties and `+inf`/NaN/`-NaN` distances,
+        /// split into any number of groups, each scanned into its own
+        /// accumulator and merged in any order: the one sort of every
+        /// candidate under `(dist, id)` cut to `k`, with `nearest` and
+        /// the eval count folded over all of them. No reservoir ever
+        /// holds more than `2k` candidates.
+        #[test]
+        fn merged_groups_equal_one_sort(
+            codes in prop::collection::vec(0u8..12, 0..120),
+            k in 0usize..20,
+            n_groups in 1usize..7,
+            salt in 0u64..1_000_000,
+        ) {
+            let hash = |v: u64| v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+            let candidates: Vec<Neighbor> = (0u64..)
+                .zip(&codes)
+                .map(|(i, &c)| Neighbor {
+                    id: hash(salt ^ i) << 8 | i, // distinct, scrambled
+                    label: (hash(salt + i) % 5) as usize,
+                    dist: [f32::INFINITY, f32::NAN, -f32::NAN]
+                        .get(c as usize)
+                        .map_or((c % 5) as f32 * 0.25, |&d| d),
+                })
+                .collect();
+            let mut groups = vec![TopK::new(k); n_groups];
+            for (i, &n) in (0u64..).zip(&candidates) {
+                let group = &mut groups[(hash(salt ^ !i) % n_groups as u64) as usize];
+                group.push(n);
+                prop_assert!(group.kept.len() <= 2 * group.k);
+            }
+            groups[0].add_evals(salt % 3);
+            let mut merged = groups.swap_remove((salt % n_groups as u64) as usize);
+            for group in groups.into_iter().rev() {
+                merged.merge(group);
+                prop_assert!(merged.kept.len() <= 2 * merged.k);
+            }
+            let got = merged.finish();
+
+            let nearest = candidates.iter().fold(f32::INFINITY, |m, n| m.min(n.dist));
+            let want = sorted_result(candidates.clone(), k, candidates.len());
+            let bits = |r: &SearchResult| -> Vec<(u32, u64, usize)> {
+                r.neighbors.iter().map(|n| (n.dist.to_bits(), n.id, n.label)).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(got.nearest.to_bits(), nearest.to_bits());
+            prop_assert_eq!(got.distance_evals, want.distance_evals + salt % 3);
+        }
     }
 }

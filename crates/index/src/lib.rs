@@ -9,8 +9,8 @@
 //!
 //! - [`FlatIndex`] — the exact scan, over contiguous row-major storage
 //!   with a cache-friendly chunked distance kernel. Results are
-//!   **bit-identical** to a naive scan of the reference set in insertion
-//!   order, so the default serving path never changes a decision.
+//!   **bit-identical** to a naive scan of the reference set sorted by
+//!   `(dist, id)`, so the default serving path never changes a decision.
 //! - [`IvfIndex`] — an inverted-file (IVF) index: a seeded k-means
 //!   coarse quantizer partitions the vectors into lists, and each query
 //!   scans only the `n_probe` lists whose centroids are nearest. An
@@ -26,7 +26,12 @@
 //!   shards, each one [`ServingIndex`] backend that holds its rows
 //!   once; provisioning peaks at one shard's embeddings, mutations
 //!   touch one shard, and every query — at every `S`, one included —
-//!   fans out and merges into `(dist, id)` order deterministically.
+//!   fans out over groups of shards and merges deterministically.
+//!
+//! One top-k rule serves all of them: every kernel scans into
+//! [`TopK`] accumulators, which keep a query's `k` smallest candidates
+//! under `(dist, id)` — a total order, so a result never depends on scan
+//! order, on block composition or on how shards were grouped.
 //!
 //! Every backend is **mutable** — [`VectorIndex::add`],
 //! [`VectorIndex::remove_label`] and [`VectorIndex::swap_label`]
@@ -44,34 +49,33 @@
 #![warn(missing_docs)]
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
 use tlsfp_nn::parallel::map_elems;
 use tlsfp_nn::tensor::euclidean_sq;
 
-/// Records one query's result into the per-backend registry counters
+/// Records queries served into the per-backend registry counters
 /// (`tlsfp_queries_total` / `tlsfp_distance_evals_total`, labeled
-/// `backend=...`) — the promotion of `SearchResult::distance_evals`
-/// into aggregate telemetry. `$backend` must be a literal: the handle
-/// cache behind the macro is per call site. Observation only; the
-/// result is returned untouched.
+/// `backend=...`): `$queries` queries that cost `$evals` distance
+/// evaluations in all — the aggregate of `SearchResult::distance_evals`.
+/// `$backend` must be a literal: the handle cache behind the macro is
+/// per call site. Observation only.
 macro_rules! record_backend_search {
-    ($backend:literal, $result:expr) => {
+    ($backend:literal, $queries:expr, $evals:expr) => {
         if tlsfp_telemetry::enabled() {
             tlsfp_telemetry::counter!(
                 "tlsfp_queries_total",
                 "Queries served, by index backend",
                 "backend" => $backend
             )
-            .inc();
+            .add($queries as u64);
             tlsfp_telemetry::counter!(
                 "tlsfp_distance_evals_total",
                 "Distance evaluations spent answering queries, by index backend",
                 "backend" => $backend
             )
-            .add($result.distance_evals);
+            .add($evals as u64);
         }
     };
 }
@@ -85,7 +89,7 @@ pub mod sharded;
 
 pub use flat::FlatIndex;
 pub use ivf::{BalanceStats, IvfIndex, IvfParams};
-pub use kernels::{auto_query_block, MAX_QUERY_BLOCK};
+pub use kernels::{auto_query_block, IdMap, TopK, MAX_QUERY_BLOCK};
 pub use pq::{PqIndex, PqParams};
 pub use sharded::{resolve_shards, shard_of, ShardedStore, StoreBalance};
 
@@ -144,10 +148,8 @@ pub struct Neighbor {
 /// The outcome of one index query.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchResult {
-    /// Up to `k` nearest neighbors, in the backend's own order: the
-    /// flat backend reports its heap order, IVF and PQ sort by
-    /// `(dist, id)` ascending. [`ShardedStore`]'s merge sorts every
-    /// backend's neighbors by `(dist, id)`.
+    /// Up to `k` nearest neighbors in `(dist, id)` ascending order, on
+    /// every backend and through [`ShardedStore`].
     pub neighbors: Vec<Neighbor>,
     /// Distance to the nearest *scanned* vector (`f32::INFINITY` when
     /// nothing was scanned) — the open-world outlier score. Exact for
@@ -219,19 +221,33 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
     /// The distance metric in use.
     fn metric(&self) -> Metric;
 
-    /// Serves one contiguous *block* of queries in a single scan pass —
-    /// the cache-blocked kernel (see [`kernels`]) and the one scan each
-    /// backend implements. Runs on the calling thread;
-    /// [`VectorIndex::search_batch`] shards blocks across workers. Each
-    /// query's result must not depend on the block it arrives in: the
-    /// kernel preserves per-(query, row) accumulation order and keeps
-    /// selection state per query.
+    /// The one scan each backend implements: serves one contiguous
+    /// *block* of queries in a single cache-blocked pass (see
+    /// [`kernels`]) and pushes every candidate into that query's
+    /// accumulator in `accs`, under the id `ids` maps its local id to.
+    /// The accumulators may already hold other shards' candidates.
+    /// Runs on the calling thread. No query's candidates depend on the
+    /// block it arrives in: the kernel preserves per-(query, row)
+    /// accumulation order, and selection is per query.
     ///
     /// # Panics
     ///
-    /// Panics if any query's length differs from `dim()`, empty index
-    /// included.
-    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult>;
+    /// Panics if `accs.len() != queries.len()` or any query's length
+    /// differs from `dim()`, empty index included.
+    fn scan_block(&self, queries: &[Vec<f32>], ids: IdMap, accs: &mut [TopK]);
+
+    /// Serves one block of queries: [`VectorIndex::scan_block`] into
+    /// fresh `k`-accumulators, each finished into its `(dist, id)`-sorted
+    /// result.
+    ///
+    /// # Panics
+    ///
+    /// As [`VectorIndex::scan_block`].
+    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
+        let mut accs = vec![TopK::new(k); queries.len()];
+        self.scan_block(queries, IdMap::IDENTITY, &mut accs);
+        accs.into_iter().map(TopK::finish).collect()
+    }
 
     /// Finds the `k` nearest stored vectors to `query`: a block of one
     /// through [`VectorIndex::search_block`].
@@ -449,45 +465,17 @@ pub(crate) fn assert_query_dims(queries: &[Vec<f32>], dim: usize) {
     }
 }
 
+/// A scan kernel's entry checks: one accumulator per query, and every
+/// query of the index's dimension.
+pub(crate) fn assert_scan_inputs(queries: &[Vec<f32>], accs: &[TopK], dim: usize) {
+    assert_eq!(accs.len(), queries.len(), "one accumulator per query");
+    assert_query_dims(queries, dim);
+}
+
 /// The canonical neighbor order: `(dist, id)` ascending, distances
 /// under `total_cmp` — total, so it never depends on scan order.
 pub(crate) fn by_dist_id(a: &Neighbor, b: &Neighbor) -> Ordering {
     a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
-}
-
-/// A max-heap entry in [`by_dist_id`] order — deterministic k-smallest
-/// selection whatever order candidates are scanned in. Backends that
-/// must reproduce the historical scan bit-for-bit (flat) use their own
-/// dist-only ordering instead.
-#[derive(PartialEq)]
-pub(crate) struct SelectEntry(pub Neighbor);
-
-impl SelectEntry {
-    /// Offers this candidate to `heap`, which keeps the `cap` smallest
-    /// seen so far.
-    pub(crate) fn offer(self, heap: &mut BinaryHeap<SelectEntry>, cap: usize) {
-        if heap.len() < cap {
-            heap.push(self);
-        } else if let Some(mut worst) = heap.peek_mut() {
-            if self < *worst {
-                *worst = self;
-            }
-        }
-    }
-}
-
-impl Eq for SelectEntry {}
-
-impl Ord for SelectEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        by_dist_id(&self.0, &other.0)
-    }
-}
-
-impl PartialOrd for SelectEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! Queries use **asymmetric distance computation** (ADC): the query
 //! stays full-precision, and a per-query lookup table of
 //! `m × ksub` sub-distances turns each stored vector's distance into
-//! `m` table adds. The top [`PqIndex::rerank`] candidates by ADC
+//! `m` table adds. The top [`PqParams::rerank`] candidates by ADC
 //! distance are then **re-ranked exactly** against retained
 //! full-precision rows, so the final top-k distances (and the
 //! open-world `nearest` score) are exact under the configured metric —
@@ -40,13 +40,13 @@
 //! through the same lifecycle (`AdaptiveFingerprinter::set_index` /
 //! `ShardedStore::set_index`) when recall sags.
 
-use std::collections::BinaryHeap;
-
 use serde::{Deserialize, Serialize};
 
 use tlsfp_nn::tensor::euclidean_sq;
 
-use crate::{Metric, Neighbor, Rows, SearchResult, SelectEntry, VectorIndex};
+use crate::flat::SCAN_CHUNK_ROWS;
+use crate::kernels::{record_block_size, IdMap, TopK};
+use crate::{Metric, Neighbor, Rows, VectorIndex};
 
 /// Maximum centroids per sub-quantizer — one `u8` code per sub-space.
 /// The effective count is `min(KSUB_MAX, n)` at build time.
@@ -224,17 +224,6 @@ impl PqIndex {
         self.ksub
     }
 
-    /// ADC candidates re-ranked exactly per query.
-    pub fn rerank(&self) -> usize {
-        self.rerank
-    }
-
-    /// Adjusts the re-rank depth (floored at 1). `rerank >= len()`
-    /// makes the index exact.
-    pub fn set_rerank(&mut self, rerank: usize) {
-        self.rerank = rerank.max(1);
-    }
-
     /// Bytes each vector contributes to the scan working set: `m` code
     /// bytes, vs `dim × 4` for a full-precision row. The retained
     /// re-rank rows are excluded — they are cold storage the scan
@@ -276,122 +265,95 @@ impl VectorIndex for PqIndex {
 
     /// Blocked ADC scan — the PQ backend's one scan: all Q lookup
     /// tables are built up front, then one pass over the code array
-    /// serves every query in the block — each
-    /// [`crate::flat::SCAN_CHUNK_ROWS`]-vector code tile (the u8 codes
-    /// are the smallest, most reusable payload in the store) is loaded
-    /// once per block instead of once per query. Per query, the LUT is
-    /// filled in sub-space order, each vector's ADC distance adds its
-    /// `m` table entries in fixed sub-space order, a
-    /// `(approx dist, position)`-ordered heap keeps the best
-    /// `max(rerank, k)` candidates (an insertion-order-independent
-    /// set), and those are re-ranked exactly, so no result depends on
-    /// the block.
-    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
-        crate::assert_query_dims(queries, self.dim);
+    /// serves every query in the block — each [`SCAN_CHUNK_ROWS`]-vector
+    /// code tile (the u8 codes are the smallest, most reusable payload
+    /// in the store) is loaded once per block instead of once per
+    /// query. Per query, the LUT is filled in sub-space order, each
+    /// vector's ADC distance adds its `m` table entries in fixed
+    /// sub-space order, a [`TopK`] keyed on `(approx dist, position)`
+    /// keeps the best `max(rerank, k)` candidates, and only their exact
+    /// re-ranked distances enter the caller's accumulator.
+    fn scan_block(&self, queries: &[Vec<f32>], ids: IdMap, accs: &mut [TopK]) {
+        crate::assert_scan_inputs(queries, accs, self.dim);
         let n = self.len();
         let nq = queries.len();
-        if n == 0 {
-            return vec![SearchResult::empty(); nq];
+        if n == 0 || nq == 0 {
+            return;
         }
-        if nq == 0 {
-            return Vec::new();
-        }
-        let k = k.min(n).max(1);
-        let depth = self.rerank.max(k).min(n);
-        let mut evals = vec![0u64; nq];
+        let depth = self.rerank.max(accs[0].k()).min(n);
 
         // Phase 1: every query's ADC lookup table: m × ksub
         // sub-distances between its sub-vectors and every sub-centroid.
         let lut_len = self.m * self.ksub;
+        let lut_evals = if self.sub_dim > 0 { lut_len } else { 0 };
         let mut luts = vec![0.0f32; nq * lut_len];
         if self.sub_dim > 0 {
-            for (qi, query) in queries.iter().enumerate() {
-                let lut = &mut luts[qi * lut_len..(qi + 1) * lut_len];
+            for (lut, query) in luts.chunks_exact_mut(lut_len).zip(queries) {
                 for (j, lut_j) in lut.chunks_exact_mut(self.ksub).enumerate() {
                     let sv = &query[j * self.sub_dim..(j + 1) * self.sub_dim];
                     let cb = &self.codebooks
                         [j * self.ksub * self.sub_dim..(j + 1) * self.ksub * self.sub_dim];
                     for (cell, centroid) in lut_j.iter_mut().zip(cb.chunks_exact(self.sub_dim)) {
                         *cell = euclidean_sq(sv, centroid);
-                        evals[qi] += 1;
                     }
                 }
             }
         }
 
         // Phase 2: one tiled pass over the codes serving all queries.
-        // Candidates key on (approx dist, row position); ids ascend in
-        // row order, so this is the same ordering as (approx dist, id).
-        let mut heaps: Vec<BinaryHeap<SelectEntry>> = (0..nq)
-            .map(|_| BinaryHeap::with_capacity(depth + 1))
-            .collect();
-        let tile = crate::flat::SCAN_CHUNK_ROWS * self.m;
-        for (ti, chunk) in self.codes.chunks(tile).enumerate() {
-            let base = ti * crate::flat::SCAN_CHUNK_ROWS;
-            for (qi, heap) in heaps.iter_mut().enumerate() {
-                let lut = &luts[qi * lut_len..(qi + 1) * lut_len];
-                for (off, code) in chunk.chunks_exact(self.m).enumerate() {
-                    let pos = base + off;
+        // Candidates key on (approx dist, row position).
+        let mut candidates = vec![TopK::new(depth); nq];
+        for (ti, tile) in self.codes.chunks(SCAN_CHUNK_ROWS * self.m).enumerate() {
+            let base = ti * SCAN_CHUNK_ROWS;
+            for (lut, cand) in luts.chunks_exact(lut_len).zip(&mut candidates) {
+                for (pos, code) in (base..).zip(tile.chunks_exact(self.m)) {
                     let mut approx = 0.0f32;
                     for (j, &c) in code.iter().enumerate() {
                         approx += lut[j * self.ksub + c as usize];
                     }
-                    SelectEntry(Neighbor {
+                    cand.push(Neighbor {
                         dist: approx,
                         id: pos as u64,
                         label: self.labels[pos],
-                    })
-                    .offer(heap, depth);
+                    });
                 }
             }
         }
 
         // Phase 3: per-query exact re-rank of the selected candidates
         // against the retained full-precision rows, under the configured
-        // metric. `nearest` is exact over the re-ranked candidates only —
+        // metric. `nearest` folds over the re-ranked candidates only —
         // the ADC scan itself never produces a reported distance.
-        crate::kernels::record_block_size!("pq", nq);
-        heaps
-            .into_iter()
-            .enumerate()
-            .map(|(qi, heap)| {
-                let query = &queries[qi];
-                let mut reranked: Vec<Neighbor> = Vec::with_capacity(depth);
-                for SelectEntry(candidate) in heap.into_sorted_vec() {
-                    let pos = candidate.id as usize;
-                    let row = &self.data[pos * self.dim..(pos + 1) * self.dim];
-                    let dist = self.metric.eval(query, row);
-                    evals[qi] += 1;
-                    reranked.push(Neighbor {
-                        id: self.ids[pos],
-                        label: self.labels[pos],
-                        dist,
-                    });
-                }
-                reranked.sort_by(crate::by_dist_id);
-                let nearest = reranked.first().map_or(f32::INFINITY, |top| top.dist);
-                reranked.truncate(k);
-                let result = SearchResult {
-                    neighbors: reranked,
-                    nearest,
-                    distance_evals: evals[qi],
-                };
-                crate::record_backend_search!("pq", result);
-                if tlsfp_telemetry::enabled() {
-                    tlsfp_telemetry::counter!(
-                        "tlsfp_pq_adc_table_builds_total",
-                        "Per-query ADC lookup tables built"
-                    )
-                    .inc();
-                    tlsfp_telemetry::histogram!(
-                        "tlsfp_pq_rerank_depth",
-                        "Exact re-rank candidates per PQ query"
-                    )
-                    .observe(depth as u64);
-                }
-                result
-            })
-            .collect()
+        for ((query, acc), cand) in queries.iter().zip(accs.iter_mut()).zip(candidates) {
+            acc.add_evals(lut_evals as u64);
+            for c in cand.finish().neighbors {
+                let pos = c.id as usize;
+                acc.push(Neighbor {
+                    dist: self
+                        .metric
+                        .eval(query, &self.data[pos * self.dim..(pos + 1) * self.dim]),
+                    id: ids.map(self.ids[pos]),
+                    label: c.label,
+                });
+            }
+        }
+
+        record_block_size!("pq", nq);
+        crate::record_backend_search!("pq", nq, nq * (lut_evals + depth));
+        if tlsfp_telemetry::enabled() {
+            tlsfp_telemetry::counter!(
+                "tlsfp_pq_adc_table_builds_total",
+                "Per-query ADC lookup tables built"
+            )
+            .add(nq as u64);
+            let depths = tlsfp_telemetry::histogram!(
+                "tlsfp_pq_rerank_depth",
+                "Exact re-rank candidates per PQ query"
+            );
+            for _ in 0..nq {
+                depths.observe(depth as u64);
+            }
+        }
     }
 
     fn add(&mut self, label: usize, vector: &[f32]) {
@@ -437,7 +399,7 @@ impl VectorIndex for PqIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlatIndex;
+    use crate::{FlatIndex, SearchResult};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -468,8 +430,8 @@ mod tests {
 
     /// The naive reference: one query's lookup table, every vector's
     /// ADC distance, the best `max(rerank, k)` by `(approx, position)`
-    /// from a full sort, then the exact re-rank — no heap, no tiling,
-    /// no telemetry.
+    /// from a full sort, then the exact re-rank — no accumulator, no
+    /// tiling, no telemetry.
     fn naive_pq(pq: &PqIndex, query: &[f32], k: usize) -> SearchResult {
         let (ksub, sub_dim) = (pq.ksub, pq.sub_dim);
         let lut: Vec<f32> = (0..pq.m)
@@ -574,9 +536,7 @@ mod tests {
             let q: Vec<f32> = (0..dim).map(|_| rng.random_range(-10.0f32..10.0)).collect();
             let exact = pq.search(&q, 5);
             let truth = flat.search(&q, 5);
-            let mut truth_sorted = truth.neighbors.clone();
-            truth_sorted.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-            assert_eq!(exact.neighbors, truth_sorted);
+            assert_eq!(exact.neighbors, truth.neighbors);
             assert_eq!(exact.nearest.to_bits(), truth.nearest.to_bits());
         }
     }

@@ -31,14 +31,14 @@
 //!   shard, and lock only it; churn on one webpage never blocks
 //!   queries or churn on another shard.
 //! - **Queries fan out and merge deterministically**: every shard is
-//!   searched under its read lock and the per-shard top-k merge under
-//!   a fixed `(distance, id)` tie-break, so results are identical for
-//!   every thread count. Every shard count — `S = 1` included — takes
-//!   this one path, and the merge is the one place neighbors get their
-//!   `(dist, id)` order (backends keep their own). Across *different*
-//!   shard counts, exact backends serve identical decisions up to one
-//!   edge case: the merge breaks an exact distance tie at the k-th
-//!   neighbor by global id, and global ids depend on `S`. Real
+//!   scanned under its read lock into one [`TopK`] per query and
+//!   group of shards, under global ids, and the groups' accumulators
+//!   merge; `(distance, global id)` is a total order, so results are
+//!   identical for every thread count and every grouping. Every shard
+//!   count — `S = 1` included — takes this one path. Across
+//!   *different* shard counts, exact backends serve identical decisions
+//!   up to one edge case: an exact distance tie at the k-th neighbor
+//!   keeps the lower global id, and global ids depend on `S`. Real
 //!   embeddings don't produce such ties; the tier-1 profile tests hold
 //!   full identity on every corpus.
 //!
@@ -56,20 +56,24 @@
 //!    use no locks at all. With no thread ever waiting on a second
 //!    lock, a cycle in the wait-for graph — the precondition for
 //!    deadlock — cannot form.
-//! 2. **(Shard × query-block) fan-out.** [`ShardedStore::search_batch_concurrent`]
-//!    hands each worker a *(shard, query-block)* pair: the worker
-//!    read-locks its shard once, runs one contiguous block of
-//!    [`crate::kernels::auto_query_block`] queries against it through
-//!    the blocked scan kernel ([`crate::VectorIndex::search_block`]), and
-//!    releases. One query's scan is never split across threads, so no
-//!    floating-point reduction ever changes order — blocking only
-//!    decides *which* queries share a worker's row loads.
-//! 3. **Ordered commit.** Workers finish in any order, but per-shard
-//!    results are merged strictly in shard order (ids remapped, then
-//!    the `k` smallest selected and sorted under `(dist, global id)`),
-//!    so the merged neighbor list, the `nearest` fold and the eval
-//!    counter are bit-identical to the sequential pass at every worker
-//!    count.
+//! 2. **(Shard group × query-block) fan-out.**
+//!    [`ShardedStore::search_batch_concurrent`] splits the shards into
+//!    contiguous groups, just enough that groups × query blocks covers
+//!    the `workers`, and hands each worker a *(group, block)* task. The
+//!    task scans one contiguous block of
+//!    [`crate::kernels::auto_query_block`] queries into one [`TopK`]
+//!    per query: for each shard of its group in turn, it read-locks the
+//!    shard, runs the backend's scan kernel
+//!    ([`crate::VectorIndex::scan_block`]) once over the block, and
+//!    releases. Each distance is evaluated whole by one thread, so no
+//!    floating-point reduction ever changes order — blocking and
+//!    grouping only decide *which* queries and shards share a worker.
+//! 3. **One total order.** Per query, the merge folds the groups'
+//!    accumulators — at most `workers` — into one. `TopK` keeps the
+//!    `k` smallest under `(dist, global id)`, a total order over
+//!    distinct ids, so the kept set, the `nearest` fold and the eval
+//!    counter are the same whichever worker finished first and however
+//!    the shards were grouped.
 //!
 //! Every query takes this one fan-out and merge:
 //! [`ShardedStore::search_concurrent`] is a batch of one through
@@ -85,7 +89,8 @@ use tlsfp_nn::parallel::{map_elems, resolve_threads};
 use tlsfp_telemetry::Gauge;
 
 use crate::ivf::BalanceStats;
-use crate::{IndexConfig, Metric, Neighbor, Rows, SearchResult, ServingIndex};
+use crate::kernels::{IdMap, TopK};
+use crate::{IndexConfig, Metric, Rows, SearchResult, ServingIndex};
 
 /// The shard that owns `class` under `n_shards`-way partitioning.
 ///
@@ -217,8 +222,8 @@ pub struct StoreBalance {
 /// let one = store.search_concurrent(&[1.1, 1.1], 2, 1);
 /// assert_eq!(one.top().unwrap().label, 1);
 ///
-/// // The batch front door fans out shard-major across a worker pool;
-/// // the ordered-commit merge is bit-identical at every worker count.
+/// // The batch front door fans out across a worker pool; the merge is
+/// // bit-identical at every worker count.
 /// let batch = store.search_batch_concurrent(&[vec![1.1, 1.1]], 2, 4);
 /// assert_eq!(batch[0], one);
 ///
@@ -822,66 +827,9 @@ impl ShardedStore {
         .set(b.ivf_lists.map_or(0.0, |l| l.skew));
     }
 
-    /// Translates shard `s`'s local insertion id into the store's
-    /// global id space: `local * n_shards + s` — unique across shards,
-    /// and equal to the local id when `S = 1`.
-    fn global_id(&self, s: usize, local: u64) -> u64 {
-        local * self.shards.len() as u64 + s as u64
-    }
-
-    /// The ordered-commit merge: consumes per-shard results **in shard
-    /// order** (regardless of which worker produced which), remaps ids
-    /// into the global space, folds `nearest` and the eval counter in
-    /// that fixed order, then keeps the `k` smallest under the
-    /// `(dist, global id)` tie-break, sorted. When more than `k` were
-    /// gathered, a selection finds them first, so only `k` are sorted;
-    /// `(dist, global id)` is a total order over distinct ids, so this
-    /// keeps exactly what sorting everything would. Bit-identical output
-    /// for every worker count by construction.
-    ///
-    /// This is the one place neighbors get their `(dist, id)` order —
-    /// backends keep their own — and where the `backend="sharded"`
-    /// query/eval counters record, once per query at every shard count
-    /// (the inner backend's own counters advance too).
-    fn merge_shard_results(&self, per_shard: Vec<SearchResult>, k: usize) -> SearchResult {
-        // The first shard's buffer becomes the merge buffer (grown once,
-        // to the exact total), so a one-shard store merges in place.
-        let gathered: usize = per_shard.iter().map(|r| r.neighbors.len()).sum();
-        let mut merged: Vec<Neighbor> = Vec::new();
-        let mut nearest = f32::INFINITY;
-        let mut evals = 0u64;
-        for (s, r) in per_shard.into_iter().enumerate() {
-            evals += r.distance_evals;
-            nearest = nearest.min(r.nearest);
-            let start = merged.len();
-            if merged.is_empty() {
-                merged = r.neighbors;
-                merged.reserve_exact(gathered - merged.len());
-            } else {
-                merged.extend(r.neighbors);
-            }
-            for n in &mut merged[start..] {
-                n.id = self.global_id(s, n.id);
-            }
-        }
-        let keep = k.max(1);
-        if merged.len() > keep {
-            merged.select_nth_unstable_by(keep - 1, crate::by_dist_id);
-            merged.truncate(keep);
-        }
-        merged.sort_by(crate::by_dist_id);
-        let result = SearchResult {
-            neighbors: merged,
-            nearest,
-            distance_evals: evals,
-        };
-        crate::record_backend_search!("sharded", result);
-        result
-    }
-
     /// One query: a batch of one through
-    /// [`ShardedStore::search_batch_concurrent`] — one (shard, block)
-    /// task per shard across `workers` threads (`0` = all cores).
+    /// [`ShardedStore::search_batch_concurrent`] — its shards split into
+    /// up to `workers` groups (`0` = all cores).
     ///
     /// # Panics
     ///
@@ -892,17 +840,15 @@ impl ShardedStore {
             .expect("one result per query")
     }
 
-    /// The query front door — single queries are batches of one. The
-    /// batch is split into contiguous query-blocks
-    /// ([`crate::kernels::auto_query_block`]) and every *(shard, block)*
-    /// pair becomes one worker task fanned out across `workers` threads
-    /// (`0` = all cores). Each worker read-locks its shard, runs its
-    /// block through the backend's scan kernel
-    /// ([`crate::VectorIndex::search_block`] — each row tile loaded
-    /// once per block), and releases; per-shard results then merge
-    /// under the ordered-commit rule. Each query's result is
-    /// bit-identical at every worker count and every batch
-    /// composition.
+    /// The query front door — single queries are batches of one: the
+    /// (shard group × query-block) fan-out over `workers` threads (`0` =
+    /// all cores) and the merge of [rules 2 and 3](crate::sharded), ids
+    /// mapped to the global `local * S + s`. Each query's result is
+    /// bit-identical at every worker count and batch composition.
+    ///
+    /// This is where the `backend="sharded"` query/eval counters
+    /// record, once per query at every shard count (the inner backend's
+    /// own counters advance too).
     ///
     /// # Panics
     ///
@@ -922,39 +868,46 @@ impl ShardedStore {
         let n_shards = self.shards.len();
         let qb = crate::kernels::auto_query_block(queries.len(), workers);
         let n_blocks = queries.len().div_ceil(qb);
-        let tasks: Vec<(usize, usize)> = (0..n_shards)
-            .flat_map(|s| (0..n_blocks).map(move |b| (s, b)))
+        let n_groups = workers.div_ceil(n_blocks).clamp(1, n_shards.max(1));
+        // Block-major, so a block's group tasks sit side by side.
+        let tasks: Vec<(&[Vec<f32>], usize)> = queries
+            .chunks(qb)
+            .flat_map(|block| (0..n_groups).map(move |g| (block, g)))
             .collect();
-        let per_task: Vec<Vec<SearchResult>> = {
+        let per_task: Vec<Vec<TopK>> = {
             let _fanout = tlsfp_telemetry::stage_timer!("fanout");
-            map_elems(&tasks, workers, |&(s, b)| {
-                let _scan = tlsfp_telemetry::stage_timer!("shard_scan");
-                let block = &queries[b * qb..((b + 1) * qb).min(queries.len())];
-                self.read_shard(s).search_block(block, k)
+            map_elems(&tasks, workers, |&(block, g)| {
+                let mut accs = vec![TopK::new(k); block.len()];
+                for s in g * n_shards / n_groups..(g + 1) * n_shards / n_groups {
+                    let _scan = tlsfp_telemetry::stage_timer!("shard_scan");
+                    let ids = IdMap {
+                        stride: n_shards as u64,
+                        offset: s as u64,
+                    };
+                    self.read_shard(s).scan_block(block, ids, &mut accs);
+                }
+                accs.iter_mut().for_each(TopK::compact);
+                accs
             })
         };
-        // Ordered commit: `per_task` is (shard-major, then block-major)
-        // by construction (map_elems preserves input order), so pulling
-        // query `qi`'s result from task `s * n_blocks + qi / qb`
-        // consumes shard results in shard order no matter which worker
-        // produced them, or when. Queries are consumed in ascending
-        // order, so each task's iterator advances exactly in step.
         let _merge = tlsfp_telemetry::stage_timer!("merge");
-        let mut cursors: Vec<std::vec::IntoIter<SearchResult>> =
-            per_task.into_iter().map(|v| v.into_iter()).collect();
-        (0..queries.len())
-            .map(|qi| {
-                let b = qi / qb;
-                let per_shard: Vec<SearchResult> = (0..n_shards)
-                    .map(|s| {
-                        cursors[s * n_blocks + b]
-                            .next()
-                            .expect("one result per query per (shard, block) task")
-                    })
-                    .collect();
-                self.merge_shard_results(per_shard, k)
-            })
-            .collect()
+        let mut per_task = per_task.into_iter();
+        let mut results = Vec::with_capacity(queries.len());
+        for _ in 0..n_blocks {
+            let mut accs = per_task.next().expect("one task per (block, group)");
+            for group in per_task.by_ref().take(n_groups - 1) {
+                for (acc, other) in accs.iter_mut().zip(group) {
+                    acc.merge(other);
+                }
+            }
+            results.extend(accs.into_iter().map(TopK::finish));
+        }
+        crate::record_backend_search!(
+            "sharded",
+            results.len(),
+            results.iter().map(|r| r.distance_evals).sum::<u64>()
+        );
+        results
     }
 }
 
@@ -997,12 +950,7 @@ mod tests {
         let flat = FlatIndex::from_rows(Metric::Euclidean, rows, &labels);
         for c in 0..6 {
             let q = vec![c as f32 * 3.0 + 0.005; 3];
-            // Same neighbors and score bits; only the merge's
-            // `(dist, id)` order differs from the flat heap's.
-            let mut want = flat.search(&q, 4);
-            want.neighbors
-                .sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-            assert_eq!(store.search_concurrent(&q, 4, 1), want);
+            assert_eq!(store.search_concurrent(&q, 4, 1), flat.search(&q, 4));
         }
     }
 

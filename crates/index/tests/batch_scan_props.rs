@@ -2,12 +2,11 @@
 //! scan kernels: over random ragged batches, corpora full of exact
 //! duplicate rows (guaranteed distance ties), every backend's
 //! `search_block` must give each query the result it gets in a block of
-//! one (`search`) — distances, ids, labels, neighbor order (the flat
-//! backend's heap iteration order included) and `distance_evals` — at
-//! block sizes {1, 3, 64, > batch}, and so must `search_batch` at its
-//! auto block size and worker counts {1, 4, 0}. Through the sharded
-//! store, the batch fan-out must equal single `search_concurrent`
-//! calls at the same worker counts.
+//! one (`search`) — distances, ids, labels, `(dist, id)` neighbor order
+//! and `distance_evals` — at block sizes {1, 3, 64, > batch}, and so
+//! must `search_batch` at its auto block size and worker counts
+//! {1, 4, 0}. Through the sharded store, the batch fan-out must equal
+//! single `search_concurrent` calls at the same worker counts.
 //!
 //! A block of one runs the same kernel, so these tests pin only that
 //! blocking and threading never change a result; each backend's unit

@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Serve queries: every fingerprint fans out across the shards
-    //    and merges per-shard top-k under a fixed (distance, id)
-    //    tie-break — decisions are identical to a one-shard store.
+    //    and keeps one top-k under a fixed (distance, id) tie-break —
+    //    decisions are identical to a one-shard store.
     println!("[2/5] serving queries through the shard fan-out…");
     let top1 = adversary.evaluate(&test).top_n_accuracy(1);
     let probe = adversary.reference().search_concurrent(
