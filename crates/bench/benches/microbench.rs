@@ -172,6 +172,36 @@ fn bench_components(c: &mut Criterion) {
         }
     }
 
+    // One class swap (the paper's adaptation update) on the benchmark's
+    // store shape: 16,000 rows × 24 dims, 2,000 classes × 8 rows. Each
+    // iteration swaps the next class's 8 rows for 8 fresh ones, so the
+    // compaction moves the rows behind them and the adds append.
+    {
+        use rand::RngExt;
+        let mut r = StdRng::seed_from_u64(17);
+        let (n_rows, dim, n_classes) = (16_000usize, 24usize, 2_000usize);
+        let data: Vec<f32> = (0..n_rows * dim)
+            .map(|_| r.random_range(-1.0..1.0))
+            .collect();
+        let labels: Vec<usize> = (0..n_rows).map(|i| i % n_classes).collect();
+        let fresh: Vec<f32> = (0..8 * dim).map(|_| r.random_range(-1.0..1.0)).collect();
+        let rows = Rows::new(dim, &data);
+        let configs = [
+            ("flat", IndexConfig::Flat),
+            ("ivf", IndexConfig::ivf_default()),
+        ];
+        for (name, config) in configs {
+            let mut index = config.build(Metric::Euclidean, rows, &labels);
+            let mut class = 0usize;
+            c.bench_function(&format!("index/swap_label/{name}"), |b| {
+                b.iter(|| {
+                    class = (class + 1) % n_classes;
+                    index.swap_label(class, Rows::new(dim, &fresh))
+                })
+            });
+        }
+    }
+
     // The `live` serving shape: one query fanned out over 45 flat
     // shards on 2 workers, merged to k = 250, then voted.
     {

@@ -198,11 +198,12 @@ mod tests {
             })
             .collect();
         let exact = flat(Metric::Euclidean, &points);
+        let (labels, data) = exact.export();
         let mut ivf = IvfIndex::build(
             IvfParams::new(6, 0),
             Metric::Euclidean,
-            exact.rows(),
-            exact.labels(),
+            Rows::new(dim, &data),
+            &labels,
         );
         ivf.set_n_probe(ivf.n_lists());
         for _ in 0..40 {

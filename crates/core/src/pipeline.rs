@@ -105,7 +105,7 @@ impl PipelineConfig {
 
     /// A fast configuration for tests, examples and scaled-down
     /// experiment runs (3-channel Wikipedia encoding). Hyperparameters
-    /// were tuned on a held-out synthetic corpus; see EXPERIMENTS.md.
+    /// were tuned on a held-out synthetic corpus.
     pub fn small() -> Self {
         PipelineConfig {
             embedder: EmbedderConfig {

@@ -1,30 +1,29 @@
-//! The exact backend: a brute-force scan over contiguous row-major
-//! storage, and the test oracle every other backend and the serving
-//! path are measured against.
+//! The exact backend: a brute-force scan over the rows, and the test
+//! oracle every other backend and the serving path are measured
+//! against.
 //!
-//! - Vectors live in one flat `Vec<f32>` (row-major), so a scan walks
-//!   memory linearly with no pointer chasing.
-//! - The scan processes candidate rows in cache-sized chunks
-//!   ([`SCAN_CHUNK_ROWS`] at a time), keeping the query vector hot
-//!   while each block streams through.
-//! - Per-distance accumulation uses the `tlsfp-nn` kernels, and every
-//!   row is pushed into the query's [`crate::TopK`], so the scan kernel
-//!   ([`FlatIndex::scan_block`]; a single query is a block of one)
-//!   returns exactly a naive scan's rows sorted by `(dist, id)` and cut
-//!   to `k` — scores, selected neighbors and their order. The
+//! - Vectors live in one column-major row store — dimension `d` of
+//!   every row contiguous — so the scan streams each column linearly.
+//! - The scan walks the rows in tiles of lane blocks, each tile scored
+//!   against every query of the block while hot in cache; the lane
+//!   kernel ([`crate::kernels`]) scores 16 rows per step with
+//!   `euclidean_sq`'s arithmetic in its order.
+//! - Every row is pushed into the query's [`crate::TopK`], so the scan
+//!   kernel ([`FlatIndex::scan_block`]; a single query is a block of
+//!   one) returns exactly a naive scan's rows sorted by `(dist, id)` and
+//!   cut to `k` — scores, selected neighbors and their order. The
 //!   `tests/index_serving.rs` oracle holds its decisions to the
 //!   pre-index implementation's.
 
+use serde::json::{field, Error, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::{record_block_size, IdMap, TopK};
-use crate::{Metric, Neighbor, Rows, VectorIndex};
+use crate::kernels::{record_block_size, scan_lanes, tiles, IdMap, TopK};
+use crate::rowset::RowSet;
+use crate::{Metric, Rows, VectorIndex};
 
-/// Rows scanned per block: 64 rows × 32 dims × 4 bytes = 8 KiB per
-/// block, comfortably inside L1 alongside the query.
-pub const SCAN_CHUNK_ROWS: usize = 64;
-
-/// The exact nearest-neighbor index: contiguous storage, chunked scan.
+/// The exact nearest-neighbor index: column-major storage, lane scan.
+/// Ids are row positions, which compaction keeps dense.
 ///
 /// ```
 /// use tlsfp_index::{FlatIndex, Metric, Rows, VectorIndex};
@@ -34,100 +33,118 @@ pub const SCAN_CHUNK_ROWS: usize = 64;
 /// assert_eq!(r.top().unwrap().label, 1);
 /// assert_eq!(r.distance_evals, 3); // exact: every row scanned
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatIndex {
-    dim: usize,
     metric: Metric,
-    data: Vec<f32>,
-    labels: Vec<usize>,
+    rows: RowSet,
 }
 
 impl FlatIndex {
     /// An empty index for `dim`-dimensional vectors.
     pub fn new(dim: usize, metric: Metric) -> Self {
         FlatIndex {
-            dim,
             metric,
-            data: Vec::new(),
-            labels: Vec::new(),
+            rows: RowSet::with_capacity(dim, 0),
         }
     }
 
-    /// Builds from labeled rows (copied into contiguous storage).
+    /// Builds from labeled rows (copied into the column store).
     ///
     /// # Panics
     ///
     /// Panics if `rows.len() != labels.len()`.
     pub fn from_rows(metric: Metric, rows: Rows<'_>, labels: &[usize]) -> Self {
-        assert_eq!(rows.len(), labels.len(), "one label per row");
         FlatIndex {
-            dim: rows.dim(),
             metric,
-            data: rows.data().to_vec(),
-            labels: labels.to_vec(),
+            rows: RowSet::from_rows(rows, labels),
         }
     }
 
-    /// The stored rows as a contiguous view.
-    pub fn rows(&self) -> Rows<'_> {
-        Rows::new(self.dim, &self.data)
+    /// An owned row-major copy of the stored rows, one `Vec` per row,
+    /// aligned with [`FlatIndex::labels`] — for oracles and tests; the
+    /// serving path never copies its rows out.
+    pub fn rows(&self) -> Vec<Vec<f32>> {
+        (0..self.len())
+            .map(|i| {
+                let mut row = Vec::with_capacity(self.dim());
+                self.rows.extend_row(i, &mut row);
+                row
+            })
+            .collect()
     }
 
     /// Stored labels, aligned with [`FlatIndex::rows`].
     pub fn labels(&self) -> &[usize] {
-        &self.labels
+        self.rows.labels()
     }
 }
 
 impl VectorIndex for FlatIndex {
     fn dim(&self) -> usize {
-        self.dim
+        self.rows.dim()
     }
 
     fn len(&self) -> usize {
-        self.labels.len()
+        self.rows.len()
     }
 
     fn metric(&self) -> Metric {
         self.metric
     }
 
-    /// The blocked exact scan: one pass over the rows in
-    /// [`SCAN_CHUNK_ROWS`]-row tiles, each tile evaluated against every
-    /// query in the block while hot in cache, every row pushed into
-    /// the query's accumulator.
+    /// The blocked exact scan: one pass over the rows in tiles of lane
+    /// blocks, each tile scored against every query in the block while
+    /// hot in cache, every row pushed into the query's accumulator.
     fn scan_block(&self, queries: &[Vec<f32>], ids: IdMap, accs: &mut [TopK]) {
-        crate::assert_scan_inputs(queries, accs, self.dim);
-        let dim = self.dim.max(1);
-        let mut base = 0u64;
-        for tile in self.data.chunks(SCAN_CHUNK_ROWS * dim) {
+        crate::assert_scan_inputs(queries, accs, self.dim());
+        for tile in tiles(&self.rows) {
             for (query, acc) in queries.iter().zip(accs.iter_mut()) {
-                for (local, row) in (base..).zip(tile.chunks_exact(dim)) {
-                    acc.push(Neighbor {
-                        dist: self.metric.eval(query, row),
-                        id: ids.map(local),
-                        label: self.labels[local as usize],
-                    });
-                }
+                scan_lanes(&self.rows, tile.clone(), query, acc, |row| {
+                    ids.map(row as u64)
+                });
             }
-            base += (tile.len() / dim) as u64;
         }
         record_block_size!("flat", queries.len());
         crate::record_backend_search!("flat", queries.len(), queries.len() * self.len());
     }
 
     fn add(&mut self, label: usize, vector: &[f32]) {
-        assert_eq!(vector.len(), self.dim, "vector dim mismatch");
-        self.data.extend_from_slice(vector);
-        self.labels.push(label);
+        self.rows.push(label, vector);
     }
 
     fn remove_label(&mut self, label: usize) -> usize {
-        crate::compact_remove_label(self.dim, label, &mut self.labels, &mut self.data, None)
+        self.rows.remove_label(label)
     }
 
     fn export(&self) -> (Vec<usize>, Vec<f32>) {
-        (self.labels.clone(), self.data.clone())
+        (self.labels().to_vec(), self.rows.to_row_major())
+    }
+}
+
+/// The snapshot keeps the row-major form: `{"dim", "metric", "data",
+/// "labels"}`, `data` one row after another.
+impl Serialize for FlatIndex {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("dim".into(), self.dim().to_value()),
+            ("metric".into(), self.metric.to_value()),
+            ("data".into(), self.rows.data_value()),
+            ("labels".into(), self.labels().to_value()),
+        ])
+    }
+}
+
+impl Deserialize for FlatIndex {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let pairs = v
+            .as_object()
+            .ok_or_else(|| Error::custom("expected object for struct FlatIndex"))?;
+        let labels: Vec<usize> = field(pairs, "labels")?;
+        let data: Vec<f32> = field(pairs, "data")?;
+        Ok(FlatIndex {
+            metric: field(pairs, "metric")?,
+            rows: RowSet::from_parts(field(pairs, "dim")?, &labels, &data)?,
+        })
     }
 }
 
@@ -172,8 +189,7 @@ mod tests {
         assert_eq!(ix.remove_label(0), 2);
         assert_eq!(ix.len(), 2);
         assert_eq!(ix.labels(), &[1, 2]);
-        assert_eq!(ix.rows().row(0), &[1.0, 1.0]);
-        assert_eq!(ix.rows().row(1), &[2.0, 2.0]);
+        assert_eq!(ix.rows(), [[1.0, 1.0], [2.0, 2.0]]);
         assert_eq!(ix.remove_label(7), 0);
     }
 
@@ -185,19 +201,19 @@ mod tests {
         assert_eq!(removed, 2);
         assert_eq!(ix.len(), 4);
         assert_eq!(ix.labels(), &[1, 2, 0, 0]);
-        assert_eq!(ix.rows().row(2), &[9.0, 9.0]);
+        assert_eq!(ix.rows()[2], [9.0, 9.0]);
     }
 
     #[test]
     fn chunked_scan_matches_unchunked_reference() {
-        // More rows than one scan block, random-ish values.
+        // More rows than one tile of lane blocks, random-ish values.
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         let dim = 7;
         let mut ix = FlatIndex::new(dim, Metric::Euclidean);
         let mut rows = Vec::new();
-        for i in 0..3 * SCAN_CHUNK_ROWS + 5 {
+        for i in 0..197 {
             let v: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0f32..1.0)).collect();
             ix.add(i % 9, &v);
             rows.push(v);

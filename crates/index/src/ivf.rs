@@ -10,19 +10,20 @@
 //! webpage's reference embeddings touches a handful of lists, never the
 //! whole index.
 //!
-//! Each list stores its vectors contiguously (row-major `Vec<f32>`), so
-//! probing a list is the same cache-friendly streaming scan the flat
-//! backend does — just over a fraction of the data.
+//! Each list stores its vectors in a column-major row store, the one
+//! the flat backend scans, so probing a list runs the same lane kernel
+//! — just over a fraction of the data.
 //!
 //! With `n_probe == n_lists` every list is probed and results match
 //! [`crate::FlatIndex`] exactly (the crate's property tests assert it);
 //! smaller `n_probe` trades recall for distance computations.
 
+use serde::json::{field, Error, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::flat::SCAN_CHUNK_ROWS;
-use crate::kernels::{record_block_size, IdMap, TopK};
-use crate::{Metric, Neighbor, Rows, VectorIndex};
+use crate::kernels::{record_block_size, scan_lanes, tiles, IdMap, TopK};
+use crate::rowset::RowSet;
+use crate::{Metric, Rows, VectorIndex};
 
 /// Lloyd iterations the coarse quantizer runs at build time.
 pub const KMEANS_ITERS: usize = 10;
@@ -52,26 +53,69 @@ impl IvfParams {
     }
 }
 
-/// One inverted list: ids, labels and contiguous row-major vectors,
-/// all aligned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One inverted list: stable ids aligned with the rows (and labels) of
+/// its column store. Ids survive compaction, moving with their rows.
+#[derive(Debug, Clone, PartialEq)]
 struct IvfList {
     ids: Vec<u64>,
-    labels: Vec<usize>,
-    data: Vec<f32>,
+    rows: RowSet,
 }
 
 impl IvfList {
-    fn new() -> Self {
+    fn new(dim: usize) -> Self {
         IvfList {
             ids: Vec::new(),
-            labels: Vec::new(),
-            data: Vec::new(),
+            rows: RowSet::with_capacity(dim, 0),
         }
     }
 
     fn len(&self) -> usize {
         self.ids.len()
+    }
+
+    fn push(&mut self, id: u64, label: usize, row: &[f32]) {
+        self.rows.push(label, row);
+        self.ids.push(id);
+    }
+
+    fn remove_label(&mut self, label: usize) -> usize {
+        // Most lists hold none of a class's rows: one scan says so.
+        if !self.rows.labels().contains(&label) {
+            return 0;
+        }
+        // `retain` visits each id once, in order, beside its label.
+        let mut labels = self.rows.labels().iter();
+        self.ids.retain(|_| labels.next() != Some(&label));
+        self.rows.remove_label(label)
+    }
+
+    /// A list from its snapshot form (`{"ids", "labels", "data"}`,
+    /// `data` row-major) for `dim`-dimensional rows.
+    fn from_value(v: &Value, dim: usize) -> Result<Self, Error> {
+        let pairs = v
+            .as_object()
+            .ok_or_else(|| Error::custom("expected object for an IVF list"))?;
+        let ids: Vec<u64> = field(pairs, "ids")?;
+        let labels: Vec<usize> = field(pairs, "labels")?;
+        let data: Vec<f32> = field(pairs, "data")?;
+        if ids.len() != labels.len() {
+            return Err(Error::custom("IVF list ids and labels differ in length"));
+        }
+        Ok(IvfList {
+            ids,
+            rows: RowSet::from_parts(dim, &labels, &data)?,
+        })
+    }
+}
+
+/// The snapshot keeps the row-major form: `{"ids", "labels", "data"}`.
+impl Serialize for IvfList {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("ids".into(), self.ids.to_value()),
+            ("labels".into(), self.rows.labels().to_value()),
+            ("data".into(), self.rows.data_value()),
+        ])
     }
 }
 
@@ -103,7 +147,7 @@ pub struct BalanceStats {
 /// // (plus one eval per centroid).
 /// assert!(r.distance_evals < 8 + 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IvfIndex {
     dim: usize,
     metric: Metric,
@@ -141,23 +185,19 @@ impl IvfIndex {
             params.n_probe.min(n_lists).max(1)
         };
         let centroids = kmeans(rows, n_lists, metric);
-        let mut index = IvfIndex {
+        let mut lists: Vec<IvfList> = (0..n_lists).map(|_| IvfList::new(dim)).collect();
+        for (id, (row, &label)) in (0u64..).zip(rows.iter().zip(labels)) {
+            let li = nearest_centroid(&centroids, dim, metric, row);
+            lists[li].push(id, label, row);
+        }
+        IvfIndex {
             dim,
             metric,
             n_probe,
             centroids,
-            lists: (0..n_lists).map(|_| IvfList::new()).collect(),
-            next_id: 0,
-        };
-        for (i, row) in rows.iter().enumerate() {
-            let li = nearest_centroid(&index.centroids, dim, metric, row);
-            let list = &mut index.lists[li];
-            list.ids.push(index.next_id);
-            list.labels.push(labels[i]);
-            list.data.extend_from_slice(row);
-            index.next_id += 1;
+            lists,
+            next_id: n as u64,
         }
-        index
     }
 
     /// Number of inverted lists.
@@ -399,17 +439,11 @@ impl VectorIndex for IvfIndex {
             rest = tail;
             let list = &self.lists[li];
             scanned += subs.len() * list.len();
-            for (ti, tile) in list.data.chunks(SCAN_CHUNK_ROWS * dim).enumerate() {
-                let base = ti * SCAN_CHUNK_ROWS;
+            for tile in tiles(&list.rows) {
                 for &(_, qi) in subs {
-                    let (query, acc) = (&queries[qi], &mut accs[qi]);
-                    for (j, row) in (base..).zip(tile.chunks_exact(dim)) {
-                        acc.push(Neighbor {
-                            dist: self.metric.eval(query, row),
-                            id: ids.map(list.ids[j]),
-                            label: list.labels[j],
-                        });
-                    }
+                    scan_lanes(&list.rows, tile.clone(), &queries[qi], &mut accs[qi], |j| {
+                        ids.map(list.ids[j])
+                    });
                 }
             }
         }
@@ -430,27 +464,14 @@ impl VectorIndex for IvfIndex {
     fn add(&mut self, label: usize, vector: &[f32]) {
         assert_eq!(vector.len(), self.dim, "vector dim mismatch");
         let li = nearest_centroid(&self.centroids, self.dim, self.metric, vector);
-        let id = self.next_id;
+        self.lists[li].push(self.next_id, label, vector);
         self.next_id += 1;
-        let list = &mut self.lists[li];
-        list.ids.push(id);
-        list.labels.push(label);
-        list.data.extend_from_slice(vector);
     }
 
     fn remove_label(&mut self, label: usize) -> usize {
-        let dim = self.dim;
         self.lists
             .iter_mut()
-            .map(|list| {
-                crate::compact_remove_label(
-                    dim,
-                    label,
-                    &mut list.labels,
-                    &mut list.data,
-                    Some(&mut list.ids),
-                )
-            })
+            .map(|list| list.remove_label(label))
             .sum()
     }
 
@@ -469,14 +490,41 @@ impl VectorIndex for IvfIndex {
             })
             .collect();
         order.sort_unstable_by_key(|&(id, _, _)| id);
-        let dim = self.dim;
-        let labels = order.iter().map(|&(_, list, j)| list.labels[j]).collect();
-        let data = order
+        let labels = order
             .iter()
-            .flat_map(|&(_, list, j)| &list.data[j * dim..(j + 1) * dim])
-            .copied()
+            .map(|&(_, list, j)| list.rows.labels()[j])
             .collect();
+        let mut data = Vec::with_capacity(order.len() * self.dim);
+        for &(_, list, j) in &order {
+            list.rows.extend_row(j, &mut data);
+        }
         (labels, data)
+    }
+}
+
+/// By hand because each list's rows load at the index's `dim`, which a
+/// list's snapshot form does not repeat.
+impl Deserialize for IvfIndex {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let pairs = v
+            .as_object()
+            .ok_or_else(|| Error::custom("expected object for struct IvfIndex"))?;
+        let dim = field(pairs, "dim")?;
+        let lists = v
+            .get("lists")
+            .and_then(Value::as_array)
+            .ok_or_else(|| Error::custom("expected array field `lists`"))?
+            .iter()
+            .map(|list| IvfList::from_value(list, dim))
+            .collect::<Result<_, _>>()?;
+        Ok(IvfIndex {
+            dim,
+            metric: field(pairs, "metric")?,
+            n_probe: field(pairs, "n_probe")?,
+            centroids: field(pairs, "centroids")?,
+            lists,
+            next_id: field(pairs, "next_id")?,
+        })
     }
 }
 
@@ -486,7 +534,7 @@ mod tests {
     use rand::{RngExt, SeedableRng};
 
     use super::*;
-    use crate::SearchResult;
+    use crate::{Neighbor, SearchResult};
 
     /// Clustered synthetic rows: `classes` groups of `per_class` points
     /// around distinct centers.
@@ -525,9 +573,9 @@ mod tests {
         let mut candidates = Vec::new();
         for &(_, li) in &ranked[..ix.n_probe] {
             let list = &ix.lists[li];
-            for (j, row) in list.data.chunks_exact(ix.dim).enumerate() {
+            for (j, row) in list.rows.to_row_major().chunks_exact(ix.dim).enumerate() {
                 let dist = ix.metric.eval(query, row);
-                let (id, label) = (list.ids[j], list.labels[j]);
+                let (id, label) = (list.ids[j], list.rows.labels()[j]);
                 candidates.push(Neighbor { id, label, dist });
             }
         }

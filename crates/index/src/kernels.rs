@@ -1,14 +1,27 @@
-//! Query-blocked scan kernels and the one top-k rule they select
-//! through. Each backend's one scan ([`crate::VectorIndex::scan_block`])
-//! serves a block of queries; a single query is a block of one.
-//! Scanning query by query would stream every stored row through
-//! memory once *per query*: a 64-trace batch reads the store 64 times,
-//! and at serving scale the scan is memory-bandwidth-bound (the PQ
-//! experiments showed this first). The fix is the register/cache
-//! blocking `tlsfp-nn`'s `matmul_t` applies on the training side: walk
-//! the store in [`crate::flat::SCAN_CHUNK_ROWS`]-row tiles × Q-query
-//! blocks, so each row tile is loaded once per block and evaluated
-//! against every query in the block while it is hot in L1.
+//! Query-blocked scan kernels, the lane kernel the exact scans share,
+//! and the one top-k rule they select through. Each backend's one scan
+//! ([`crate::VectorIndex::scan_block`]) serves a block of queries; a
+//! single query is a block of one. Scanning query by query would stream
+//! every stored row through memory once *per query*: a 64-trace batch
+//! reads the store 64 times, and at serving scale the scan is
+//! memory-bandwidth-bound (the PQ experiments showed this first). The
+//! fix is the register/cache blocking `tlsfp-nn`'s `matmul_t` applies
+//! on the training side: walk the store in tiles × Q-query blocks, so
+//! each tile is loaded once per block and evaluated against every query
+//! in the block while it is hot in L1.
+//!
+//! # Columns and lanes
+//!
+//! The flat backend and every IVF list store their rows column-major
+//! (dimension `d` of every row contiguous), and one lane kernel,
+//! `scan_lanes`, scores 16 rows per step: lane `l` accumulates
+//! `(q[d] − x[d][l])²` for row `l` in ascending `d` from `-0.0`. That
+//! is `tlsfp_nn::tensor::euclidean_sq`'s arithmetic in its order —
+//! `euclidean_sq` is a sequential sum that cannot be vectorized across
+//! dims without reassociating it, so the kernel vectorizes across rows
+//! instead. Their scans walk the columns in tiles of four lane blocks
+//! (64 rows). PQ scans its u8 codes in
+//! [`crate::pq::SCAN_CHUNK_ROWS`]-vector tiles.
 //!
 //! # One selection rule
 //!
@@ -21,24 +34,89 @@
 //! pushes every row, IVF the rows of each query's probed lists, and PQ
 //! only its exact re-ranked rows, after cutting its ADC candidates
 //! through a `TopK` of its own; the sharded store merges one
-//! accumulator per group of shards.
+//! accumulator per group of shards. A padding lane of a partly filled
+//! last block is never pushed, so `distance_evals` counts rows.
 //!
 //! # Block composition never changes a result
 //!
 //! Blocking reorders *which (query, row) pair is evaluated when* — it
-//! never reorders the arithmetic inside a pair. Each pair keeps a
-//! single accumulator evaluated by the same [`crate::Metric::eval`]
-//! call, and selection state is per query (kept set, `nearest` fold,
-//! eval counter).
+//! never reorders the arithmetic inside a pair. Each pair's distance is
+//! one lane's own sum, bit-identical to [`crate::Metric::eval`] on the
+//! same pair (lanes run side by side but never mix), and selection
+//! state is per query (kept set, `nearest` fold, eval counter).
 //!
 //! Every batch path scans at [`auto_query_block`]. Unit tests hold each
-//! kernel against a naive reference (untiled, one query at a time,
-//! every candidate sorted, without telemetry), and the proptests in
+//! kernel against a naive reference (untiled, row-major, one query at a
+//! time through [`crate::Metric::eval`], every candidate sorted,
+//! without telemetry) and the lanes against `euclidean_sq` on special
+//! values (±0, ±inf, NaN, subnormals, ±1e30); the proptests in
 //! `tests/batch_scan_props.rs` pin results across block sizes and
 //! thread counts bit for bit (distances, ids, labels, neighbor order,
-//! eval counts).
+//! eval counts), and `tests/rowset_churn.rs` holds the row store to a
+//! row-major model through random churn.
 
+use std::ops::Range;
+
+use crate::rowset::RowSet;
 use crate::{by_dist_id, Neighbor, SearchResult};
+
+/// Rows the lane kernel scores per step: lane `l` of a step holds row
+/// `16·b + l` of a [`RowSet`] block `b`. A constant of the layout, not a
+/// tuning knob — no result depends on it.
+pub(crate) const LANES: usize = 16;
+
+/// Lane blocks per tile of a blocked scan: 4 × 16 rows × 32 dims × 4
+/// bytes = 8 KiB of columns, scored against every query of the block
+/// while it is hot in L1.
+const TILE_BLOCKS: usize = 4;
+
+/// `rows`' lane blocks in tiles of [`TILE_BLOCKS`], in row order.
+pub(crate) fn tiles(rows: &RowSet) -> impl Iterator<Item = Range<usize>> {
+    let blocks = rows.len().div_ceil(LANES);
+    (0..blocks)
+        .step_by(TILE_BLOCKS)
+        .map(move |b| b..(b + TILE_BLOCKS).min(blocks))
+}
+
+/// The lane kernel: scores `query` against the rows of `rows`' lane
+/// blocks `blocks` and pushes every row — padding lanes excluded — into
+/// `acc` as `(dist, id_of(row), label)`.
+///
+/// Lane `l` accumulates `(q[d] − x[d][l])²` in ascending `d`, starting
+/// from `-0.0` (where `f32: Sum` starts), with the square rounded
+/// before the add (Rust never contracts the two into an FMA). That is
+/// [`tlsfp_nn::tensor::euclidean_sq`]`(query, row)`'s arithmetic in its
+/// order, so every distance is bit-identical to it; only the lanes run
+/// side by side.
+#[inline]
+pub(crate) fn scan_lanes(
+    rows: &RowSet,
+    blocks: Range<usize>,
+    query: &[f32],
+    acc: &mut TopK,
+    id_of: impl Fn(usize) -> u64,
+) {
+    let labels = rows.labels();
+    for block in blocks {
+        let base = block * LANES;
+        let mut dist = [-0.0f32; LANES];
+        for (col, &q) in rows.columns().zip(query) {
+            let x: &[f32; LANES] = col[base..base + LANES].try_into().expect("one lane block");
+            for (s, &v) in dist.iter_mut().zip(x) {
+                let t = q - v;
+                *s += t * t;
+            }
+        }
+        let live = (labels.len() - base).min(LANES);
+        for (row, &dist) in (base..).zip(&dist[..live]) {
+            acc.push(Neighbor {
+                dist,
+                id: id_of(row),
+                label: labels[row],
+            });
+        }
+    }
+}
 
 /// Upper bound on the query block: 64 queries × 32 dims × 4 bytes =
 /// 8 KiB of query vectors, which fits in L1 alongside one row tile.
@@ -309,8 +387,9 @@ pub(crate) fn sorted_result(mut candidates: Vec<Neighbor>, k: usize, evals: usiz
 mod tests {
     use proptest::prelude::*;
 
+    use tlsfp_nn::tensor::euclidean_sq;
+
     use super::*;
-    use crate::flat::SCAN_CHUNK_ROWS;
     use crate::{FlatIndex, Metric, Rows, VectorIndex};
 
     /// The naive reference: one query, every row in insertion order
@@ -343,11 +422,61 @@ mod tests {
 
     #[test]
     fn flat_kernel_matches_the_naive_reference() {
-        // Several tiles' worth of rows, so ties straddle tile edges.
-        let (data, labels, queries) = planted_duplicates(2 * SCAN_CHUNK_ROWS + 17, 5, 7, 9, 42);
+        // Several tiles' worth of rows, so ties straddle tile edges, and
+        // a last lane block with one live lane.
+        let (data, labels, queries) = planted_duplicates(9 * LANES + 1, 5, 7, 9, 42);
         let rows = Rows::new(5, &data);
         let ix = FlatIndex::from_rows(Metric::Euclidean, rows, &labels);
         assert_kernel_matches(&ix, &queries, |q, k| naive_flat(rows, &labels, q, k));
+    }
+
+    #[test]
+    fn lanes_match_euclidean_sq_on_special_values() {
+        // ±0, ±inf, NaN, subnormals, ±1e30 and ordinary values in both
+        // rows and queries; 7 rows short of a whole lane block.
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 4.0,
+            1e30,
+            -1e30,
+            1.5,
+            -2.25,
+        ];
+        let dim = 3;
+        let n = 8 * LANES + 9;
+        let pick = |i: usize, d: usize| specials[(i * 7 + d * 5 + i / 11) % specials.len()];
+        let data: Vec<f32> = (0..n)
+            .flat_map(|i| (0..dim).map(move |d| pick(i, d)))
+            .collect();
+        let labels: Vec<usize> = (0..n).map(|i| i % 4).collect();
+        let rows = Rows::new(dim, &data);
+        let set = RowSet::from_rows(rows, &labels);
+        for qi in 0..40 {
+            let query: Vec<f32> = (0..dim).map(|d| pick(qi * 3 + 1, d + qi)).collect();
+            let mut acc = TopK::new(n + LANES);
+            let blocks = n.div_ceil(LANES);
+            scan_lanes(&set, 0..blocks, &query, &mut acc, |row| row as u64);
+            let r = acc.finish();
+            // Every row reached the accumulator once; no padding lane did.
+            assert_eq!(r.distance_evals, n as u64);
+            let mut seen: Vec<u64> = r.neighbors.iter().map(|c| c.id).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..n as u64).collect::<Vec<_>>());
+            for c in &r.neighbors {
+                let want = euclidean_sq(&query, rows.row(c.id as usize));
+                assert_eq!(c.label, labels[c.id as usize]);
+                if want.is_nan() {
+                    assert!(c.dist.is_nan(), "query {qi} row {}", c.id);
+                } else {
+                    assert_eq!(c.dist.to_bits(), want.to_bits(), "query {qi} row {}", c.id);
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! selected per deployment by [`IndexConfig`], and a class-sharded
 //! store that composes them for the large-class regime.
 //!
-//! - [`FlatIndex`] — the exact scan, over contiguous row-major storage
-//!   with a cache-friendly chunked distance kernel. Results are
-//!   **bit-identical** to a naive scan of the reference set sorted by
-//!   `(dist, id)`, so the default serving path never changes a decision.
+//! - [`FlatIndex`] — the exact scan, over column-major storage scored
+//!   16 rows per step by a lane kernel that keeps `euclidean_sq`'s
+//!   arithmetic and order. Results are **bit-identical** to a naive scan
+//!   of the reference set sorted by `(dist, id)`, so the default serving
+//!   path never changes a decision.
 //! - [`IvfIndex`] — an inverted-file (IVF) index: a seeded k-means
 //!   coarse quantizer partitions the vectors into lists, and each query
 //!   scans only the `n_probe` lists whose centroids are nearest. An
@@ -85,6 +86,7 @@ pub mod flat;
 pub mod ivf;
 pub mod kernels;
 pub mod pq;
+mod rowset;
 pub mod sharded;
 
 pub use flat::FlatIndex;
@@ -409,51 +411,6 @@ impl std::ops::DerefMut for ServingIndex {
             ServingIndex::Pq(ix) => ix,
         }
     }
-}
-
-/// Removes every row carrying `label` from parallel row-major storage,
-/// compacting in place and preserving survivor order; `ids`, when
-/// present, is compacted in lockstep. Returns how many rows were
-/// dropped. This is the one remove-and-compact loop the flat and IVF
-/// backends share.
-///
-/// ```
-/// use tlsfp_index::compact_remove_label;
-/// let mut labels = vec![0usize, 1, 0, 2];
-/// let mut data = vec![0.0f32, 0.1, 1.0, 1.1, 2.0, 2.1, 3.0, 3.1];
-/// assert_eq!(compact_remove_label(2, 0, &mut labels, &mut data, None), 2);
-/// assert_eq!(labels, [1, 2]);
-/// assert_eq!(data, [1.0, 1.1, 3.0, 3.1]);
-/// ```
-pub fn compact_remove_label(
-    dim: usize,
-    label: usize,
-    labels: &mut Vec<usize>,
-    data: &mut Vec<f32>,
-    mut ids: Option<&mut Vec<u64>>,
-) -> usize {
-    let mut kept = 0usize;
-    let mut removed = 0usize;
-    for i in 0..labels.len() {
-        if labels[i] == label {
-            removed += 1;
-        } else {
-            if kept != i {
-                labels[kept] = labels[i];
-                data.copy_within(i * dim..(i + 1) * dim, kept * dim);
-                if let Some(ids) = ids.as_deref_mut() {
-                    ids[kept] = ids[i];
-                }
-            }
-            kept += 1;
-        }
-    }
-    labels.truncate(kept);
-    data.truncate(kept * dim);
-    if let Some(ids) = ids {
-        ids.truncate(kept);
-    }
-    removed
 }
 
 /// Every query entry's dimension check. The distance kernels zip rows

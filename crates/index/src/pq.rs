@@ -44,9 +44,13 @@ use serde::{Deserialize, Serialize};
 
 use tlsfp_nn::tensor::euclidean_sq;
 
-use crate::flat::SCAN_CHUNK_ROWS;
 use crate::kernels::{record_block_size, IdMap, TopK};
 use crate::{Metric, Neighbor, Rows, VectorIndex};
+
+/// Vectors per code tile of the ADC scan: 64 vectors × 8 code bytes is
+/// 512 bytes per tile, loaded once per query block and scored against
+/// every query's lookup table while hot in L1.
+pub const SCAN_CHUNK_ROWS: usize = 64;
 
 /// Maximum centroids per sub-quantizer — one `u8` code per sub-space.
 /// The effective count is `min(KSUB_MAX, n)` at build time.
@@ -366,8 +370,8 @@ impl VectorIndex for PqIndex {
     }
 
     fn remove_label(&mut self, label: usize) -> usize {
-        // Same single-pass compaction as `crate::compact_remove_label`,
-        // extended to the second (u8, stride-m) storage tier.
+        // One single-pass compaction over all four aligned tiers:
+        // labels, ids, the retained rows and the (u8, stride-m) codes.
         let (dim, m) = (self.dim, self.m);
         let mut kept = 0usize;
         let mut removed = 0usize;
