@@ -172,6 +172,54 @@ fn bench_components(c: &mut Criterion) {
         }
     }
 
+    // The same flat scan on rows shaped like the serving benchmark's:
+    // groups of 8 near-duplicate rows (one class's loads) whose centers
+    // lie near a 3-dimensional subspace, as a trained embedder's do. The
+    // list layout skips most of this store; the weakly clustered store
+    // above is its worst case, where nearly every list must be scored.
+    {
+        use rand::RngExt;
+        let mut r = StdRng::seed_from_u64(12);
+        let (n_rows, dim, latent) = (10_000usize, 32usize, 3usize);
+        let basis: Vec<f32> = (0..latent * dim)
+            .map(|_| r.random_range(-1.0..1.0))
+            .collect();
+        let mut centers: Vec<Vec<f32>> = Vec::new();
+        let mut data = Vec::with_capacity(n_rows * dim);
+        for _ in 0..n_rows / 8 {
+            let z: Vec<f32> = (0..latent).map(|_| r.random_range(-2.0..2.0)).collect();
+            let center: Vec<f32> = (0..dim)
+                .map(|d| {
+                    let on_subspace: f32 = (0..latent).map(|j| z[j] * basis[j * dim + d]).sum();
+                    on_subspace + r.random_range(-0.05..0.05)
+                })
+                .collect();
+            for _ in 0..8 {
+                data.extend(center.iter().map(|&v| v + r.random_range(-0.01..0.01)));
+            }
+            centers.push(center);
+        }
+        let labels: Vec<usize> = (0..n_rows).map(|i| i / 8).collect();
+        let queries: Vec<Vec<f32>> = (0..64)
+            .map(|qi| {
+                let center = &centers[qi * 97 % centers.len()];
+                center
+                    .iter()
+                    .map(|&v| v + r.random_range(-0.02..0.02))
+                    .collect()
+            })
+            .collect();
+        let flat = FlatIndex::from_rows(Metric::Euclidean, Rows::new(dim, &data), &labels);
+        let mut group = c.benchmark_group("index/batch_scan/flat_clustered");
+        for &bs in &[1usize, 64] {
+            let block = &queries[..bs];
+            group.bench_with_input(BenchmarkId::from_parameter(bs), &bs, |b, _| {
+                b.iter(|| std::hint::black_box(flat.search_block(block, 50).len()))
+            });
+        }
+        group.finish();
+    }
+
     // One class swap (the paper's adaptation update) on the benchmark's
     // store shape: 16,000 rows × 24 dims, 2,000 classes × 8 rows. Each
     // iteration swaps the next class's 8 rows for 8 fresh ones, so the
@@ -191,6 +239,12 @@ fn bench_components(c: &mut Criterion) {
             ("ivf", IndexConfig::ivf_default()),
         ];
         for (name, config) in configs {
+            // The build itself: k-means lists for both backends here.
+            c.bench_function(&format!("index/build/{name}"), |b| {
+                b.iter(|| {
+                    std::hint::black_box(config.build(Metric::Euclidean, rows, &labels).len())
+                })
+            });
             let mut index = config.build(Metric::Euclidean, rows, &labels);
             let mut class = 0usize;
             c.bench_function(&format!("index/swap_label/{name}"), |b| {

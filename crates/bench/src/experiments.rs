@@ -831,7 +831,10 @@ pub fn run_fig_open_world(scale: &Scale) -> FigOpenWorldResult {
 // ---------------------------------------------------------------------
 
 /// One profile's index comparison: the IVF backend measured against
-/// the exact flat scan on identical embeddings and queries.
+/// the exact flat scan on identical embeddings and queries, and both
+/// against scoring every row. The flat store prunes exactly from
+/// `tlsfp_index::flat::LIST_MIN_ROWS` rows on, so IVF's saving over it
+/// is what approximation buys beyond exact pruning.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IndexProfileResult {
     /// Site-profile name.
@@ -856,8 +859,14 @@ pub struct IndexProfileResult {
     /// label — the decision-level agreement the serving path cares
     /// about.
     pub top1_agreement: f64,
-    /// Total distance evaluations the flat scan spent.
+    /// Total distance evaluations the exact flat scan spent (its
+    /// pruning lists' centroids included).
     pub flat_distance_evals: u64,
+    /// Pruning lists the exact flat store keeps (`1`: every row scored).
+    pub flat_lists: usize,
+    /// Distance evaluations scoring every row for every query costs:
+    /// `n_reference × n_queries`.
+    pub exhaustive_distance_evals: u64,
     /// Total distance evaluations the IVF search spent (centroids
     /// included).
     pub ivf_distance_evals: u64,
@@ -925,6 +934,8 @@ pub fn run_index_profile(
         recall_at_k: recall_k_sum / queries.len().max(1) as f64,
         top1_agreement: cmp.top1_agreement,
         flat_distance_evals: flat_evals,
+        flat_lists: flat.n_lists(),
+        exhaustive_distance_evals: (reference.len() * queries.len()) as u64,
         ivf_distance_evals: ivf_evals,
         evals_fraction: if flat_evals == 0 {
             0.0
@@ -2275,7 +2286,8 @@ pub fn print_fig_early(r: &EarlyProfileResult) {
 /// Prints one profile's index-comparison summary row.
 pub fn print_fig_index(r: &IndexProfileResult) {
     println!(
-        "  {:<14} n={:<5} q={:<4} lists={:<3} probe={:<2} recall@1={:.3} recall@k={:.3} top1-agree={:.3} evals={:.0}%/flat speedup={:.2}x",
+        "  {:<14} n={:<5} q={:<4} lists={:<3} probe={:<2} recall@1={:.3} recall@k={:.3} top1-agree={:.3} \
+         evals={:.0}%/flat flat={:.0}%/all flat-lists={} speedup={:.2}x",
         r.profile,
         r.n_reference,
         r.n_queries,
@@ -2285,6 +2297,8 @@ pub fn print_fig_index(r: &IndexProfileResult) {
         r.recall_at_k,
         r.top1_agreement,
         100.0 * r.evals_fraction,
+        100.0 * r.flat_distance_evals as f64 / r.exhaustive_distance_evals.max(1) as f64,
+        r.flat_lists,
         r.speedup,
     );
 }

@@ -14,9 +14,11 @@
 //! ranking plus the outlier score. The accept/reject decision on top is
 //! [`PerClassThresholds::accepts`](crate::open_world::PerClassThresholds::accepts).
 
+use std::cell::RefCell;
+
 use serde::{Deserialize, Serialize};
 
-use tlsfp_index::SearchResult;
+use tlsfp_index::{Neighbor, SearchResult};
 
 pub use tlsfp_index::Metric;
 
@@ -67,13 +69,91 @@ pub struct ScoredPrediction {
 /// can rank it without re-running the search.
 ///
 /// Votes are tallied in neighbor order — `(dist, id)` ascending from
-/// every backend and the store — then stably sorted by (votes desc,
-/// best distance asc), so a full tie keeps the label whose nearest
-/// neighbor came first.
+/// every backend and the store — then sorted by (votes desc, best
+/// distance asc by `total_cmp`, first appearance asc), so a full tie
+/// keeps the label whose nearest neighbor came first.
 pub fn rank_search(result: SearchResult) -> ScoredPrediction {
-    // Vote count and best (smallest) distance per label.
-    let mut votes: Vec<(usize, usize, f32)> = Vec::new(); // (label, votes, best_dist)
-    for e in result.neighbors {
+    let tally = match result.neighbors.iter().map(|n| n.label).max() {
+        Some(max) if max >= DENSE_LABELS => tally_linear(&result.neighbors),
+        _ => tally_dense(&result.neighbors),
+    };
+    ScoredPrediction {
+        prediction: RankedPrediction {
+            ranked: tally.iter().map(|&(l, _, _)| l).collect(),
+            votes: tally.iter().map(|&(_, v, _)| v).collect(),
+        },
+        score: result.nearest,
+    }
+}
+
+/// Labels below this are tallied in a per-thread slot array indexed by
+/// label (16 bytes a slot, so at most 4 MiB); a larger one sends the
+/// whole tally to [`tally_linear`].
+const DENSE_LABELS: usize = 1 << 18;
+
+/// A label's votes and its best (smallest) distance.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    votes: usize,
+    best: f32,
+}
+
+impl Slot {
+    /// A label with no votes yet.
+    const EMPTY: Slot = Slot {
+        votes: 0,
+        best: 0.0,
+    };
+}
+
+/// `(label, votes, best distance)` per distinct label, in ranking order,
+/// through a reusable slot per label: one pass over the neighbors, then
+/// a sort of the distinct labels alone. Each label's best distance folds
+/// by `<` in neighbor order, and a label's first appearance is its
+/// position in `seen`, so the order is [`tally_linear`]'s stable one.
+fn tally_dense(neighbors: &[Neighbor]) -> Vec<(usize, usize, f32)> {
+    thread_local! {
+        static SLOTS: RefCell<Vec<Slot>> = const { RefCell::new(Vec::new()) };
+    }
+    SLOTS.with_borrow_mut(|slots| {
+        let mut seen: Vec<usize> = Vec::new();
+        for n in neighbors {
+            if n.label >= slots.len() {
+                slots.resize(n.label + 1, Slot::EMPTY);
+            }
+            let slot = &mut slots[n.label];
+            if slot.votes == 0 {
+                *slot = Slot {
+                    votes: 1,
+                    best: n.dist,
+                };
+                seen.push(n.label);
+            } else {
+                slot.votes += 1;
+                if n.dist < slot.best {
+                    slot.best = n.dist;
+                }
+            }
+        }
+        let mut tally: Vec<(usize, usize, f32, usize)> = seen
+            .iter()
+            .enumerate()
+            .map(|(first, &label)| {
+                let slot = std::mem::replace(&mut slots[label], Slot::EMPTY);
+                (label, slot.votes, slot.best, first)
+            })
+            .collect();
+        tally.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.2.total_cmp(&b.2)).then(a.3.cmp(&b.3)));
+        tally.into_iter().map(|(l, v, d, _)| (l, v, d)).collect()
+    })
+}
+
+/// The tally by a linear search over the labels seen so far and a
+/// stable sort by (votes desc, best distance asc) — the reference the
+/// dense tally is held to, and the path for labels past the slot array.
+fn tally_linear(neighbors: &[Neighbor]) -> Vec<(usize, usize, f32)> {
+    let mut votes: Vec<(usize, usize, f32)> = Vec::new();
+    for e in neighbors {
         match votes.iter_mut().find(|(l, _, _)| *l == e.label) {
             Some((_, v, d)) => {
                 *v += 1;
@@ -85,17 +165,12 @@ pub fn rank_search(result: SearchResult) -> ScoredPrediction {
         }
     }
     votes.sort_by(|a, b| b.1.cmp(&a.1).then(a.2.total_cmp(&b.2)));
-    ScoredPrediction {
-        prediction: RankedPrediction {
-            ranked: votes.iter().map(|(l, _, _)| *l).collect(),
-            votes: votes.iter().map(|(_, v, _)| *v).collect(),
-        },
-        score: result.nearest,
-    }
+    votes
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
     use tlsfp_index::{FlatIndex, IvfIndex, IvfParams, Rows, VectorIndex};
 
     use super::*;
@@ -180,6 +255,49 @@ mod tests {
         assert!(sp.prediction.ranked.is_empty());
         assert_eq!(sp.prediction.top(), None);
         assert_eq!(sp.score, f32::INFINITY);
+    }
+
+    #[test]
+    fn labels_past_the_slot_array_take_the_linear_tally() {
+        let near = |label, dist| Neighbor { id: 0, label, dist };
+        let neighbors = vec![near(usize::MAX, 1.0), near(3, 0.5), near(usize::MAX, 2.0)];
+        let r = rank_search(SearchResult {
+            neighbors,
+            nearest: 0.5,
+            distance_evals: 3,
+        });
+        assert_eq!(r.prediction.ranked, [usize::MAX, 3]);
+        assert_eq!(r.prediction.votes, [2, 1]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Planted vote ties, distance ties and ±NaN / +inf distances, in
+        /// any neighbor order: the dense tally ranks exactly as the linear
+        /// one, best distances by bits included.
+        #[test]
+        fn dense_tally_ranks_as_the_linear_one(
+            codes in prop::collection::vec((0usize..9, 0u8..10), 0..300),
+        ) {
+            let neighbors: Vec<Neighbor> = (0u64..)
+                .zip(&codes)
+                .map(|(id, &(label, c))| Neighbor {
+                    id,
+                    label: label * 37,
+                    dist: [f32::NAN, -f32::NAN, f32::INFINITY, -0.0]
+                        .get(c as usize)
+                        .map_or(f32::from(c % 3) * 0.5, |&d| d),
+                })
+                .collect();
+            let bits = |t: Vec<(usize, usize, f32)>| -> Vec<(usize, usize, u32)> {
+                t.into_iter().map(|(l, v, d)| (l, v, d.to_bits())).collect()
+            };
+            prop_assert_eq!(
+                bits(tally_dense(&neighbors)),
+                bits(tally_linear(&neighbors))
+            );
+        }
     }
 
     #[test]

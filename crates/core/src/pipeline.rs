@@ -27,6 +27,11 @@ use crate::knn::{rank_search, RankedPrediction, ScoredPrediction};
 use crate::metrics::EvalReport;
 use crate::open_world::{self, OpenWorldReport, PerClassThresholds};
 
+/// Traces [`AdaptiveFingerprinter::outlier_scores`] searches per fan-out:
+/// enough for every worker's query block, few enough that their
+/// `k`-neighbor results stay small.
+const SCORE_CHUNK: usize = 256;
+
 /// Everything that parameterizes provisioning and classification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
@@ -492,11 +497,21 @@ impl AdaptiveFingerprinter {
         self.decide_all(&embeddings)
     }
 
-    /// Nearest-reference outlier scores for a whole dataset.
+    /// Nearest-reference outlier scores for a whole dataset: each is
+    /// [`ScoredPrediction::score`], bit for bit, without the vote. The
+    /// traces are searched a few hundred at a time through the one
+    /// fan-out at the deployment's `k`, and each result is dropped as
+    /// soon as its `nearest` is read, so a calibration set never holds
+    /// all its neighbor lists at once.
     pub fn outlier_scores(&self, data: &Dataset) -> Vec<f32> {
-        self.fingerprint_with_score_all(data)
-            .into_iter()
-            .map(|sp| sp.score)
+        self.embed_all(data.seqs())
+            .chunks(SCORE_CHUNK)
+            .flat_map(|chunk| {
+                self.store
+                    .search_batch_concurrent(chunk, self.k, self.query_workers)
+                    .into_iter()
+                    .map(|r| r.nearest)
+            })
             .collect()
     }
 

@@ -21,8 +21,8 @@
 use serde::json::{field, Error, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::{record_block_size, scan_lanes, tiles, IdMap, TopK};
-use crate::rowset::RowSet;
+use crate::kernels::{lane_dists, record_block_size, scan_lanes, tiles, IdMap, TopK, LANES};
+use crate::rowset::{IvfList, RowSet};
 use crate::{Metric, Rows, VectorIndex};
 
 /// Lloyd iterations the coarse quantizer runs at build time.
@@ -50,72 +50,6 @@ impl IvfParams {
     /// Explicit parameters.
     pub fn new(n_lists: usize, n_probe: usize) -> Self {
         IvfParams { n_lists, n_probe }
-    }
-}
-
-/// One inverted list: stable ids aligned with the rows (and labels) of
-/// its column store. Ids survive compaction, moving with their rows.
-#[derive(Debug, Clone, PartialEq)]
-struct IvfList {
-    ids: Vec<u64>,
-    rows: RowSet,
-}
-
-impl IvfList {
-    fn new(dim: usize) -> Self {
-        IvfList {
-            ids: Vec::new(),
-            rows: RowSet::with_capacity(dim, 0),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn push(&mut self, id: u64, label: usize, row: &[f32]) {
-        self.rows.push(label, row);
-        self.ids.push(id);
-    }
-
-    fn remove_label(&mut self, label: usize) -> usize {
-        // Most lists hold none of a class's rows: one scan says so.
-        if !self.rows.labels().contains(&label) {
-            return 0;
-        }
-        // `retain` visits each id once, in order, beside its label.
-        let mut labels = self.rows.labels().iter();
-        self.ids.retain(|_| labels.next() != Some(&label));
-        self.rows.remove_label(label)
-    }
-
-    /// A list from its snapshot form (`{"ids", "labels", "data"}`,
-    /// `data` row-major) for `dim`-dimensional rows.
-    fn from_value(v: &Value, dim: usize) -> Result<Self, Error> {
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| Error::custom("expected object for an IVF list"))?;
-        let ids: Vec<u64> = field(pairs, "ids")?;
-        let labels: Vec<usize> = field(pairs, "labels")?;
-        let data: Vec<f32> = field(pairs, "data")?;
-        if ids.len() != labels.len() {
-            return Err(Error::custom("IVF list ids and labels differ in length"));
-        }
-        Ok(IvfList {
-            ids,
-            rows: RowSet::from_parts(dim, &labels, &data)?,
-        })
-    }
-}
-
-/// The snapshot keeps the row-major form: `{"ids", "labels", "data"}`.
-impl Serialize for IvfList {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("ids".into(), self.ids.to_value()),
-            ("labels".into(), self.rows.labels().to_value()),
-            ("data".into(), self.rows.data_value()),
-        ])
     }
 }
 
@@ -184,10 +118,11 @@ impl IvfIndex {
         } else {
             params.n_probe.min(n_lists).max(1)
         };
-        let centroids = kmeans(rows, n_lists, metric);
-        let mut lists: Vec<IvfList> = (0..n_lists).map(|_| IvfList::new(dim)).collect();
-        for (id, (row, &label)) in (0u64..).zip(rows.iter().zip(labels)) {
-            let li = nearest_centroid(&centroids, dim, metric, row);
+        let (centroids, assignment) = kmeans(rows, n_lists, metric);
+        let mut lists: Vec<IvfList> = (0..n_lists)
+            .map(|_| IvfList::with_capacity(dim, 0))
+            .collect();
+        for (id, ((row, &label), &li)) in (0u64..).zip(rows.iter().zip(labels).zip(&assignment)) {
             lists[li].push(id, label, row);
         }
         IvfIndex {
@@ -273,7 +208,8 @@ const REPAIR_ROUNDS: usize = 4;
 /// (reference corpora are class-grouped, so the spread covers the label
 /// space), refined by [`KMEANS_ITERS`] Lloyd iterations with sequential
 /// accumulation — byte-stable across runs and thread counts. A cluster
-/// that loses all members keeps its previous centroid.
+/// that loses all members keeps its previous centroid. Returns the
+/// centroids, row-major, and each row's [`nearest_centroid`] under them.
 ///
 /// Lloyd alone can leave one list holding a large share of the data
 /// (probing it then erases most of the pruning win), so a few repair
@@ -282,20 +218,23 @@ const REPAIR_ROUNDS: usize = 4;
 /// heaviest cluster's farthest member and Lloyd briefly re-runs —
 /// splitting dense blobs instead of serving them whole.
 ///
-/// Shared with the product-quantization backend ([`crate::PqIndex`]),
-/// which trains one such quantizer per sub-vector space.
-pub(crate) fn kmeans(rows: Rows<'_>, n_lists: usize, metric: Metric) -> Vec<f32> {
+/// Shared with the flat backend's pruning lists ([`crate::FlatIndex`])
+/// and the product-quantization backend ([`crate::PqIndex`]), which
+/// trains one such quantizer per sub-vector space.
+pub(crate) fn kmeans(rows: Rows<'_>, n_lists: usize, metric: Metric) -> (Vec<f32>, Vec<usize>) {
     let dim = rows.dim();
     let n = rows.len();
     if n == 0 {
-        return vec![0.0; n_lists * dim];
+        return (vec![0.0; n_lists * dim], Vec::new());
     }
     let mut centroids = Vec::with_capacity(n_lists * dim);
     for ci in 0..n_lists {
         centroids.extend_from_slice(rows.row(ci * n / n_lists));
     }
+    // The rows again, column-major, for the lane kernel's assignment.
+    let set = RowSet::from_rows(rows, &vec![0; n]);
     let mut assignment = vec![0usize; n];
-    lloyd(rows, metric, &mut centroids, &mut assignment, KMEANS_ITERS);
+    lloyd(rows, &set, &mut centroids, &mut assignment, KMEANS_ITERS);
 
     for _ in 0..REPAIR_ROUNDS {
         let mut counts = vec![0usize; n_lists];
@@ -323,17 +262,21 @@ pub(crate) fn kmeans(rows: Rows<'_>, n_lists: usize, metric: Metric) -> Vec<f32>
         }
         let Some(far) = far else { break };
         centroids[light * dim..(light + 1) * dim].copy_from_slice(rows.row(far));
-        lloyd(rows, metric, &mut centroids, &mut assignment, 3);
+        lloyd(rows, &set, &mut centroids, &mut assignment, 3);
     }
-    centroids
+    // Lloyd's last update may have moved a centroid away from rows it
+    // was assigned under.
+    assign(&set, &centroids, &mut assignment);
+    (centroids, assignment)
 }
 
 /// Lloyd's iteration: assign each row to its nearest centroid (ties
 /// break low), then move every non-empty centroid to its members' mean.
-/// Stops early once an assignment pass changes nothing.
+/// Stops early once an assignment pass changes nothing. `set` holds
+/// `rows` column-major.
 fn lloyd(
     rows: Rows<'_>,
-    metric: Metric,
+    set: &RowSet,
     centroids: &mut [f32],
     assignment: &mut [usize],
     iters: usize,
@@ -341,15 +284,7 @@ fn lloyd(
     let dim = rows.dim();
     let n_lists = centroids.len().checked_div(dim).unwrap_or(1);
     for _ in 0..iters {
-        // Assign.
-        let mut changed = false;
-        for (i, row) in rows.iter().enumerate() {
-            let best = nearest_centroid(centroids, dim, metric, row);
-            if assignment[i] != best {
-                assignment[i] = best;
-                changed = true;
-            }
-        }
+        let changed = assign(set, centroids, assignment);
         // Update.
         let mut sums = vec![0.0f32; centroids.len()];
         let mut counts = vec![0usize; n_lists];
@@ -375,6 +310,31 @@ fn lloyd(
             break;
         }
     }
+}
+
+/// Lloyd's assignment step through the lane kernel: each row of `set`
+/// gets its [`nearest_centroid`], 16 rows per step scored against each
+/// centroid in centroid order and kept on a strict `<`. Every lane's
+/// distance has `euclidean_sq`'s bits, so the assignment is the scalar
+/// rule's exactly. Returns whether any row changed centroid.
+fn assign(set: &RowSet, centroids: &[f32], assignment: &mut [usize]) -> bool {
+    let mut changed = false;
+    for (block, rows) in assignment.chunks_mut(LANES).enumerate() {
+        let mut best = [(0usize, f32::INFINITY); LANES];
+        for (ci, centroid) in centroids.chunks_exact(set.dim().max(1)).enumerate() {
+            let dist = lane_dists(set, block, centroid);
+            for (b, &d) in best.iter_mut().zip(&dist) {
+                if d < b.1 {
+                    *b = (ci, d);
+                }
+            }
+        }
+        for (a, &(ci, _)) in rows.iter_mut().zip(&best) {
+            changed |= *a != ci;
+            *a = ci;
+        }
+    }
+    changed
 }
 
 impl VectorIndex for IvfIndex {
@@ -594,6 +554,22 @@ mod tests {
         crate::kernels::assert_kernel_matches(&ix, &queries, |q, k| naive_ivf(&ix, q, k));
         ix.set_n_probe(ix.n_lists());
         crate::kernels::assert_kernel_matches(&ix, &queries, |q, k| naive_ivf(&ix, q, k));
+    }
+
+    #[test]
+    fn kmeans_assigns_every_row_its_nearest_final_centroid() {
+        // Rows 0 and 2 seed both centroids at 0.0, so the first pass files
+        // every row under centroid 0 and changes nothing; the update then
+        // moves centroid 0 off the rows at 0.0.
+        let dup = [0.0f32, 100.0, 0.0, 100.0];
+        let (data, _) = clustered(5, 9, 3, 8);
+        for (rows, n_lists) in [(Rows::new(1, &dup), 2), (Rows::new(3, &data), 7)] {
+            let (centroids, assignment) = kmeans(rows, n_lists, Metric::Euclidean);
+            for (row, &a) in rows.iter().zip(&assignment) {
+                let want = nearest_centroid(&centroids, rows.dim(), Metric::Euclidean, row);
+                assert_eq!(a, want, "{row:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,16 +12,18 @@
 //!
 //! # Columns and lanes
 //!
-//! The flat backend and every IVF list store their rows column-major
-//! (dimension `d` of every row contiguous), and one lane kernel,
-//! `scan_lanes`, scores 16 rows per step: lane `l` accumulates
-//! `(q[d] − x[d][l])²` for row `l` in ascending `d` from `-0.0`. That
-//! is `tlsfp_nn::tensor::euclidean_sq`'s arithmetic in its order —
-//! `euclidean_sq` is a sequential sum that cannot be vectorized across
-//! dims without reassociating it, so the kernel vectorizes across rows
-//! instead. Their scans walk the columns in tiles of four lane blocks
-//! (64 rows). PQ scans its u8 codes in
-//! [`crate::pq::SCAN_CHUNK_ROWS`]-vector tiles.
+//! The flat backend, its pruning lists and every IVF list store their
+//! rows column-major (dimension `d` of every row contiguous), and one
+//! lane kernel, `scan_lanes`, scores 16 rows per step: lane `l`
+//! accumulates `(q[d] − x[d][l])²` for row `l` in ascending `d` from
+//! `-0.0`. That is `tlsfp_nn::tensor::euclidean_sq`'s arithmetic in its
+//! order — `euclidean_sq` is a sequential sum that cannot be vectorized
+//! across dims without reassociating it, so the kernel vectorizes
+//! across rows instead. A one-list flat store and IVF walk the columns
+//! in tiles of four lane blocks (64 rows); a flat store in lists scans
+//! each query's unpruned lists whole. Lloyd's assignment step scores
+//! rows against centroids through the same lanes. PQ scans its u8
+//! codes in [`crate::pq::SCAN_CHUNK_ROWS`]-vector tiles.
 //!
 //! # One selection rule
 //!
@@ -31,11 +33,14 @@
 //! under `(dist, id)` — a total order over distinct ids — so the kept
 //! set never depends on the order candidates arrive in, nor on how
 //! they were split across accumulators before a [`TopK::merge`]. Flat
-//! pushes every row, IVF the rows of each query's probed lists, and PQ
-//! only its exact re-ranked rows, after cutting its ADC candidates
-//! through a `TopK` of its own; the sharded store merges one
-//! accumulator per group of shards. A padding lane of a partly filled
-//! last block is never pushed, so `distance_evals` counts rows.
+//! pushes every row it does not prune — a list is pruned only when its
+//! bound lies above the accumulator's current `k`-th distance, so no
+//! pruned row could have been kept — IVF the rows of each query's
+//! probed lists, and PQ only its exact re-ranked rows, after cutting
+//! its ADC candidates through a `TopK` of its own; the sharded store
+//! merges one accumulator per group of shards. A padding lane of a
+//! partly filled last block is never pushed, so `distance_evals` counts
+//! rows.
 //!
 //! # Block composition never changes a result
 //!
@@ -99,14 +104,7 @@ pub(crate) fn scan_lanes(
     let labels = rows.labels();
     for block in blocks {
         let base = block * LANES;
-        let mut dist = [-0.0f32; LANES];
-        for (col, &q) in rows.columns().zip(query) {
-            let x: &[f32; LANES] = col[base..base + LANES].try_into().expect("one lane block");
-            for (s, &v) in dist.iter_mut().zip(x) {
-                let t = q - v;
-                *s += t * t;
-            }
-        }
+        let dist = lane_dists(rows, block, query);
         let live = (labels.len() - base).min(LANES);
         for (row, &dist) in (base..).zip(&dist[..live]) {
             acc.push(Neighbor {
@@ -116,6 +114,23 @@ pub(crate) fn scan_lanes(
             });
         }
     }
+}
+
+/// One lane block's distances: lane `l` holds `query`'s distance to row
+/// `16·block + l` of `rows` (a padding lane's is to zeros), with
+/// [`tlsfp_nn::tensor::euclidean_sq`]'s arithmetic in its order.
+#[inline]
+pub(crate) fn lane_dists(rows: &RowSet, block: usize, query: &[f32]) -> [f32; LANES] {
+    let base = block * LANES;
+    let mut dist = [-0.0f32; LANES];
+    for (col, &q) in rows.columns().zip(query) {
+        let x: &[f32; LANES] = col[base..base + LANES].try_into().expect("one lane block");
+        for (s, &v) in dist.iter_mut().zip(x) {
+            let t = q - v;
+            *s += t * t;
+        }
+    }
+    dist
 }
 
 /// Upper bound on the query block: 64 queries × 32 dims × 4 bytes =
@@ -243,6 +258,26 @@ impl TopK {
         self.k
     }
 
+    /// Whether no candidate has been pushed or merged in yet — what a
+    /// fresh accumulator holds, whatever evals it has counted.
+    pub(crate) fn holds_no_candidates(&self) -> bool {
+        self.kept.is_empty()
+    }
+
+    /// The `k`-th smallest distance kept so far (`+inf` while fewer than
+    /// `k` are kept): a candidate whose distance is larger can never be
+    /// kept. Cuts the reservoir to its `k` smallest first, so the bound
+    /// is tight; the kept set is the same whenever cuts happen.
+    pub(crate) fn kth_dist(&mut self) -> f32 {
+        if self.kept.len() < self.k {
+            return f32::INFINITY;
+        }
+        if self.kept.len() > self.k || self.bar.is_none() {
+            self.cut_to_k();
+        }
+        self.bar.map_or(f32::INFINITY, |bar| bar.dist)
+    }
+
     /// Scans one candidate: one distance evaluation, folded into
     /// `nearest`, and kept while it is among the `k` smallest.
     #[inline]
@@ -314,10 +349,15 @@ impl TopK {
     /// Cuts the reservoir back to its `k` smallest and raises the bar.
     fn cut(&mut self) {
         if self.kept.len() > self.k {
-            self.kept.select_nth_unstable_by(self.k - 1, by_dist_id);
-            self.kept.truncate(self.k);
-            self.bar = Some(self.kept[self.k - 1]);
+            self.cut_to_k();
         }
+    }
+
+    /// Keeps the `k` smallest of at least `k` and bars the largest.
+    fn cut_to_k(&mut self) {
+        self.kept.select_nth_unstable_by(self.k - 1, by_dist_id);
+        self.kept.truncate(self.k);
+        self.bar = Some(self.kept[self.k - 1]);
     }
 }
 

@@ -9,9 +9,11 @@
 //!
 //! - [`FlatIndex`] — the exact scan, over column-major storage scored
 //!   16 rows per step by a lane kernel that keeps `euclidean_sq`'s
-//!   arithmetic and order. Results are **bit-identical** to a naive scan
-//!   of the reference set sorted by `(dist, id)`, so the default serving
-//!   path never changes a decision.
+//!   arithmetic and order. From [`flat::LIST_MIN_ROWS`] rows at build it
+//!   keeps k-means lists with radii and skips every list a triangle-
+//!   inequality bound rules out of the top-k. Results are
+//!   **bit-identical** to a naive scan of the reference set sorted by
+//!   `(dist, id)`, so the default serving path never changes a decision.
 //! - [`IvfIndex`] — an inverted-file (IVF) index: a seeded k-means
 //!   coarse quantizer partitions the vectors into lists, and each query
 //!   scans only the `n_probe` lists whose centroids are nearest. An
@@ -155,11 +157,13 @@ pub struct SearchResult {
     pub neighbors: Vec<Neighbor>,
     /// Distance to the nearest *scanned* vector (`f32::INFINITY` when
     /// nothing was scanned) — the open-world outlier score. Exact for
-    /// flat; over the probed lists only for IVF.
+    /// flat (a list it skips holds no row nearer than one it kept);
+    /// over the probed lists only for IVF.
     pub nearest: f32,
-    /// Number of metric evaluations this query cost (IVF includes its
-    /// centroid comparisons). The pruning measurements in `fig_index`
-    /// and the tier-1 recall tests read this.
+    /// Number of metric evaluations this query cost (IVF and a flat
+    /// store in lists include their centroid comparisons). The pruning
+    /// measurements in `fig_index` and the tier-1 recall tests read
+    /// this.
     pub distance_evals: u64,
 }
 
@@ -316,8 +320,9 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
 /// Which backend a deployment should serve from.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum IndexConfig {
-    /// Exact brute-force scan (the default, and the oracle every other
-    /// backend's recall is measured against).
+    /// Exact scan, list-pruned from [`flat::LIST_MIN_ROWS`] rows (the
+    /// default, and the oracle every other backend's recall is
+    /// measured against).
     #[default]
     Flat,
     /// Inverted-file index with the given parameters.

@@ -188,11 +188,9 @@ impl PqIndex {
                     sub[i * sub_dim..(i + 1) * sub_dim]
                         .copy_from_slice(&row[j * sub_dim..(j + 1) * sub_dim]);
                 }
-                cb.copy_from_slice(&crate::ivf::kmeans(
-                    Rows::new(sub_dim, &sub),
-                    ksub,
-                    Metric::Euclidean,
-                ));
+                cb.copy_from_slice(
+                    &crate::ivf::kmeans(Rows::new(sub_dim, &sub), ksub, Metric::Euclidean).0,
+                );
             }
         }
 

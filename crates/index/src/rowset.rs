@@ -21,10 +21,13 @@
 //! `copy_within` per column, and the capacity grows geometrically.
 //! Equality and the JSON form are on the logical rows only — `dim`,
 //! labels and row-major values — never on capacity or padding.
+//!
+//! An [`IvfList`] is a row store with an id beside each row: one list
+//! of the IVF backend, and one of a large flat store's pruning lists.
 
 use std::mem::size_of;
 
-use serde::json::{Error, Value};
+use serde::json::{field, Error, Value};
 use serde::Serialize;
 
 use crate::kernels::LANES;
@@ -253,6 +256,76 @@ impl PartialEq for RowSet {
                 .columns()
                 .zip(other.columns())
                 .all(|(a, b)| a[..n] == b[..n])
+    }
+}
+
+/// One inverted list: ids aligned with the rows (and labels) of its
+/// column store, moving with their rows on compaction, which keeps their
+/// order.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct IvfList {
+    pub(crate) ids: Vec<u64>,
+    pub(crate) rows: RowSet,
+}
+
+impl IvfList {
+    /// An empty list with room for `rows` rows.
+    pub(crate) fn with_capacity(dim: usize, rows: usize) -> Self {
+        IvfList {
+            ids: Vec::with_capacity(rows),
+            rows: RowSet::with_capacity(dim, rows),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    pub(crate) fn push(&mut self, id: u64, label: usize, row: &[f32]) {
+        self.rows.push(label, row);
+        self.ids.push(id);
+    }
+
+    /// Removes every row carrying `label` with its id; returns how many
+    /// were dropped.
+    pub(crate) fn remove_label(&mut self, label: usize) -> usize {
+        // Most lists hold none of a class's rows: one scan says so.
+        if !self.rows.labels().contains(&label) {
+            return 0;
+        }
+        // `retain` visits each id once, in order, beside its label.
+        let mut labels = self.rows.labels().iter();
+        self.ids.retain(|_| labels.next() != Some(&label));
+        self.rows.remove_label(label)
+    }
+
+    /// A list from its snapshot form (`{"ids", "labels", "data"}`,
+    /// `data` row-major) for `dim`-dimensional rows.
+    pub(crate) fn from_value(v: &Value, dim: usize) -> Result<Self, Error> {
+        let pairs = v
+            .as_object()
+            .ok_or_else(|| Error::custom("expected object for an IVF list"))?;
+        let ids: Vec<u64> = field(pairs, "ids")?;
+        let labels: Vec<usize> = field(pairs, "labels")?;
+        let data: Vec<f32> = field(pairs, "data")?;
+        if ids.len() != labels.len() {
+            return Err(Error::custom("IVF list ids and labels differ in length"));
+        }
+        Ok(IvfList {
+            ids,
+            rows: RowSet::from_parts(dim, &labels, &data)?,
+        })
+    }
+}
+
+/// The snapshot keeps the row-major form: `{"ids", "labels", "data"}`.
+impl Serialize for IvfList {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("ids".into(), self.ids.to_value()),
+            ("labels".into(), self.rows.labels().to_value()),
+            ("data".into(), self.rows.data_value()),
+        ])
     }
 }
 

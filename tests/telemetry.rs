@@ -501,3 +501,61 @@ fn disabled_telemetry_records_nothing() {
         assert_eq!(h.count, 0, "stage span recorded while disabled");
     }
 }
+
+/// The on/off pin for a store whose shard keeps pruning lists (720 rows
+/// at build): full results — neighbors, `nearest` bits and
+/// `distance_evals` — are the same with recording on and off at every
+/// worker count, and only recording observes
+/// `tlsfp_flat_rows_scored_ratio`, once per query, in permille.
+#[test]
+fn multi_list_results_bit_identical_with_telemetry_on_and_off() {
+    let _guard = FlagGuard::acquire();
+    let (data, labels) = clustered(12, 60, 4);
+    let store = ShardedStore::build(
+        &IndexConfig::Flat,
+        Metric::Euclidean,
+        Rows::new(4, &data),
+        &labels,
+        12,
+        1,
+    );
+    let queries: Vec<Vec<f32>> = (0..12).map(|c| vec![c as f32 * 3.0 + 0.3; 4]).collect();
+    let scored = || {
+        tlsfp::telemetry::global()
+            .snapshot()
+            .histogram("tlsfp_flat_rows_scored_ratio", &[])
+            .map_or((0, 0), |h| (h.count, h.sum))
+    };
+    // Every result by bits: neighbors, `nearest`, evals.
+    let bits = |rs: &[tlsfp::index::SearchResult]| {
+        rs.iter()
+            .map(|r| {
+                let n = r.neighbors.iter();
+                let n: Vec<_> = n.map(|n| (n.dist.to_bits(), n.id, n.label)).collect();
+                (n, r.nearest.to_bits(), r.distance_evals)
+            })
+            .collect::<Vec<_>>()
+    };
+    let mut outcomes = Vec::new();
+    for telemetry_on in [true, false] {
+        tlsfp::telemetry::set_enabled(telemetry_on);
+        for workers in [1usize, 2, 0] {
+            let (count_before, sum_before) = scored();
+            let results = store.search_batch_concurrent(&queries, 25, workers);
+            let (count, sum) = scored();
+            let observed = if telemetry_on {
+                queries.len() as u64
+            } else {
+                0
+            };
+            assert_eq!(count - count_before, observed, "on={telemetry_on}");
+            assert!(sum - sum_before <= 1000 * observed);
+            outcomes.push(bits(&results));
+        }
+    }
+    assert!(outcomes.iter().all(|o| *o == outcomes[0]));
+    // The pruned scan skipped rows: fewer evals than rows on a query.
+    assert!(outcomes[0]
+        .iter()
+        .any(|(_, _, evals)| *evals < labels.len() as u64));
+}
